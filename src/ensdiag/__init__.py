@@ -75,7 +75,6 @@ from .weights import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     OptimizationOutcome,
-    gram_matrix,
     optimal_weights,
     project_to_simplex,
     uniform_weights,
@@ -116,7 +115,6 @@ __all__ = [
     "uniform_weights",
     "optimal_weights",
     "project_to_simplex",
-    "gram_matrix",
     "DEFAULT_MAX_ITER",
     "DEFAULT_TOL",
     "ACTIVE_SUPPORT_TOL",

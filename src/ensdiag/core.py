@@ -5,6 +5,11 @@ observations, and the correspondence between two models is the matching
 time-averaged product of their residuals.  Everything downstream reduces
 to dot products of residual vectors, so this module keeps residuals as
 plain float64 arrays and exposes pure functions over them.
+
+Those dot products form one Gram matrix.  ``geometry_of`` forms and
+validates it once per top-level call, with the scores, norms, best member
+and cosines read off it; the functions that take a residual set also take
+that geometry, so the checks of one call share it.
 """
 
 from __future__ import annotations
@@ -250,50 +255,94 @@ def model_scores(rs: ResidualSet) -> np.ndarray:
     return np.einsum("mt,mt->m", z, z) / rs.n_points
 
 
-def _correspondence_entries(rs: ResidualSet) -> np.ndarray:
-    """Raw symmetric correspondence array, without the type-level checks."""
+def _correspondence_entries(rs: ResidualSet) -> tuple[np.ndarray, np.ndarray]:
+    """Raw symmetric correspondence array and the per-model scores its
+    diagonal was checked against; ValidationError if it overflows."""
     z = rs.residuals
-    raw = (z @ z.T) / rs.n_points
-    entries = 0.5 * (raw + raw.T)
-    diag = entries.diagonal()
-    scores = model_scores(rs)
-    if not np.allclose(diag, scores, rtol=1e-12, atol=0.0):
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = (z @ z.T) / rs.n_points
+        entries = 0.5 * (raw + raw.T)
+        scores = model_scores(rs)
+    _require_finite(entries, "correspondence entries")
+    if not np.allclose(entries.diagonal(), scores, rtol=1e-12, atol=0.0):
         raise EnsdiagError(
             "internal inconsistency: correspondence diagonal departs from "
             "the per-model scores"
         )
-    return entries
+    return entries, scores
 
 
-def correspondence_matrix(rs: ResidualSet) -> CorrespondenceMatrix:
+@dataclass(frozen=True, eq=False)
+class ResidualGeometry:
+    """Internal: the Gram geometry of one residual set, formed once per call.
+
+    ``norms`` are the roots of the ``entries`` diagonal, ``best`` the lowest
+    index with the least direct score; ``cosines`` and the thresholds
+    ``S_min^2 / (S_m S_m')`` of Results 2 and 3 are None when a member is perfect.
+    """
+
+    residuals: np.ndarray
+    n_points: int
+    entries: np.ndarray
+    scores: np.ndarray
+    norms: np.ndarray
+    best: int
+    s_min_sq: float
+    cosines: np.ndarray | None
+    thresholds: np.ndarray | None
+
+    @property
+    def n_models(self) -> int:
+        return int(self.entries.shape[0])
+
+
+def geometry_of(rs: ResidualSet | ResidualGeometry) -> ResidualGeometry:
+    """Form the geometry of a residual set; a formed one passes through."""
+    if isinstance(rs, ResidualGeometry):
+        return rs
+    entries, scores = _correspondence_entries(rs)
+    norms = np.sqrt(entries.diagonal())
+    best = int(np.argmin(scores))
+    s_min_sq = float(scores[best])
+    cosines = thresholds = None
+    if np.all(norms > 0.0):
+        cosines = entries / np.outer(norms, norms)
+        overshoot = float(np.abs(cosines).max()) - 1.0
+        if overshoot > COSINE_OVERSHOOT_TOL:
+            raise EnsdiagError(
+                f"internal inconsistency: cosine overshoot {overshoot:.3e} "
+                f"exceeds the rounding allowance {COSINE_OVERSHOOT_TOL}"
+            )
+        cosines = np.clip(cosines, -1.0, 1.0)
+        np.fill_diagonal(cosines, 1.0)
+        roots = np.sqrt(scores)
+        thresholds = s_min_sq / np.outer(roots, roots)
+    for arr in (entries, scores, norms, cosines, thresholds):
+        if arr is not None:
+            arr.setflags(write=False)
+    return ResidualGeometry(
+        rs.residuals, rs.n_points, entries, scores, norms, best, s_min_sq,
+        cosines, thresholds,
+    )
+
+
+def correspondence_matrix(rs: ResidualSet | ResidualGeometry) -> CorrespondenceMatrix:
     """Mutual-agreement matrix: entry (m, m') is the time-averaged product
     of the two residual vectors; the diagonal equals the per-model scores."""
-    return CorrespondenceMatrix(_correspondence_entries(rs))
+    return CorrespondenceMatrix(geometry_of(rs).entries)
 
 
-def cosine_matrix(rs: ResidualSet) -> np.ndarray:
-    """Pairwise cosines of the residual vectors.
+def cosine_matrix(rs: ResidualSet | ResidualGeometry) -> np.ndarray:
+    """Pairwise cosines of the residual vectors, as a read-only array.
 
     The diagonal is exactly 1 and off-diagonal entries are clamped into
     [-1, 1].  Raises PerfectModelError when any member has zero residual,
     since its direction is undefined.
     """
-    entries = _correspondence_entries(rs)
-    diag = entries.diagonal()
-    zero = np.flatnonzero(diag == 0.0)
-    if zero.size:
-        raise PerfectModelError(zero)
-    norms = np.sqrt(diag)
-    cosines = entries / np.outer(norms, norms)
-    overshoot = float(np.abs(cosines).max()) - 1.0
-    if overshoot > COSINE_OVERSHOOT_TOL:
-        raise EnsdiagError(
-            f"internal inconsistency: cosine overshoot {overshoot:.3e} exceeds "
-            f"the rounding allowance {COSINE_OVERSHOOT_TOL}"
-        )
-    cosines = np.clip(cosines, -1.0, 1.0)
-    np.fill_diagonal(cosines, 1.0)
-    return cosines
+    geo = geometry_of(rs)
+    if geo.cosines is None:
+        raise PerfectModelError(np.flatnonzero(geo.norms == 0.0))
+    return geo.cosines
 
 
 def _check_weight_length(rs: ResidualSet, w: WeightVector) -> np.ndarray:
@@ -315,7 +364,7 @@ def average_residual(rs: ResidualSet, w: WeightVector) -> np.ndarray:
     return weights @ rs.residuals
 
 
-def ensemble_score(rs: ResidualSet, w: WeightVector) -> float:
+def ensemble_score(rs: ResidualSet | ResidualGeometry, w: WeightVector) -> float:
     """Score of the weighted-average model.
 
     Computed directly from the averaged residual, and cross-checked
@@ -326,10 +375,11 @@ def ensemble_score(rs: ResidualSet, w: WeightVector) -> float:
     returned.
     """
     weights = _check_weight_length(rs, w)
-    zbar = weights @ rs.residuals
-    direct = float(zbar @ zbar) / rs.n_points
+    geo = geometry_of(rs)
+    zbar = weights @ geo.residuals
+    direct = float(zbar @ zbar) / geo.n_points
 
-    entries = _correspondence_entries(rs)
+    entries = geo.entries
     scores = entries.diagonal().copy()
     off = entries.copy()
     np.fill_diagonal(off, 0.0)

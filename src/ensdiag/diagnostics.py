@@ -7,6 +7,11 @@ and ``check_result3`` tests the necessary anti-collinearity condition for
 the average to win.  Each verdict records its hypothesis and conclusion
 separately; the implications between them are verified by the test
 suite, never assumed here.
+
+Every check reads the residual geometry (``core.geometry_of``): given a
+residual set it forms the geometry once for that call, and given the
+geometry that ``build_report`` formed it shares it.  Each pair test is one
+mask over the upper triangle, read in row-major order.
 """
 
 from __future__ import annotations
@@ -17,13 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    ResidualGeometry,
     ResidualSet,
     WeightVector,
     _check_weight_length,
-    _correspondence_entries,
+    _correspondence_entries,  # unused here; perfbench/worker.py traces it by name
     cosine_matrix,
     ensemble_score,
-    model_scores,
+    geometry_of,
+    model_scores,  # unused here; perfbench/worker.py traces it by name
 )
 from .errors import EnsdiagError, ValidationError
 
@@ -85,12 +92,25 @@ def _require_two_models(rs: ResidualSet) -> None:
         raise ValidationError("this check requires at least two models")
 
 
-def _best_member(scores: np.ndarray) -> tuple[int, float]:
-    best = int(np.argmin(scores))  # ties resolve to the lowest index
-    return best, float(scores[best])
+def _pairs_where(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """The pairs (i, j), i < j, where ``mask`` holds, in row-major order."""
+    return tuple(map(tuple, np.argwhere(np.triu(mask, k=1)).tolist()))
 
 
-def check_result1(rs: ResidualSet, w: WeightVector) -> ResultVerdict:
+def _sufficient_verdict(geo, w, violations, best, s_min_sq) -> ResultVerdict:
+    witnesses = _pairs_where(violations)
+    s_sq = ensemble_score(geo, w)
+    return ResultVerdict(
+        hypothesis_holds=not witnesses,
+        conclusion_holds=s_sq > s_min_sq,
+        witnesses=witnesses,
+        s_min_sq=s_min_sq,
+        s_sq=s_sq,
+        best_model_index=best,
+    )
+
+
+def check_result1(rs: ResidualSet | ResidualGeometry, w: WeightVector) -> ResultVerdict:
     """Sufficient condition, correspondence form.
 
     Hypothesis: every off-diagonal correspondence strictly exceeds the
@@ -100,28 +120,16 @@ def check_result1(rs: ResidualSet, w: WeightVector) -> ResultVerdict:
     """
     _require_two_models(rs)
     _check_weight_length(rs, w)
-    entries = _correspondence_entries(rs)
-    scores = entries.diagonal()
-    best, s_min_sq = _best_member(scores)
-    m = rs.n_models
-    witnesses = tuple(
-        (i, j)
-        for i in range(m)
-        for j in range(i + 1, m)
-        if not entries[i, j] > s_min_sq
-    )
-    s_sq = ensemble_score(rs, w)
-    return ResultVerdict(
-        hypothesis_holds=not witnesses,
-        conclusion_holds=s_sq > s_min_sq,
-        witnesses=witnesses,
-        s_min_sq=s_min_sq,
-        s_sq=s_sq,
-        best_model_index=best,
-    )
+    geo = geometry_of(rs)
+    # This form reads the best score off the correspondence diagonal, which
+    # may differ from the direct scores in the last bit.
+    diag = geo.entries.diagonal()
+    best = int(np.argmin(diag))  # ties resolve to the lowest index
+    s_min_sq = float(diag[best])
+    return _sufficient_verdict(geo, w, ~(geo.entries > s_min_sq), best, s_min_sq)
 
 
-def check_result2(rs: ResidualSet, w: WeightVector) -> ResultVerdict:
+def check_result2(rs: ResidualSet | ResidualGeometry, w: WeightVector) -> ResultVerdict:
     """Sufficient condition, cosine form.
 
     Algebraically the same test as ``check_result1`` (divide both sides
@@ -131,29 +139,12 @@ def check_result2(rs: ResidualSet, w: WeightVector) -> ResultVerdict:
     """
     _require_two_models(rs)
     _check_weight_length(rs, w)
-    cosines = cosine_matrix(rs)
-    scores = model_scores(rs)
-    best, s_min_sq = _best_member(scores)
-    thresholds = s_min_sq / np.outer(np.sqrt(scores), np.sqrt(scores))
-    m = rs.n_models
-    witnesses = tuple(
-        (i, j)
-        for i in range(m)
-        for j in range(i + 1, m)
-        if not cosines[i, j] > thresholds[i, j]
-    )
-    s_sq = ensemble_score(rs, w)
-    return ResultVerdict(
-        hypothesis_holds=not witnesses,
-        conclusion_holds=s_sq > s_min_sq,
-        witnesses=witnesses,
-        s_min_sq=s_min_sq,
-        s_sq=s_sq,
-        best_model_index=best,
-    )
+    geo = geometry_of(rs)
+    violations = ~(cosine_matrix(geo) > geo.thresholds)
+    return _sufficient_verdict(geo, w, violations, geo.best, geo.s_min_sq)
 
 
-def check_result3(rs: ResidualSet, w: WeightVector) -> ResultVerdict:
+def check_result3(rs: ResidualSet | ResidualGeometry, w: WeightVector) -> ResultVerdict:
     """Necessary condition for the average to beat every member.
 
     Hypothesis: the average scores strictly better than the best member.
@@ -163,29 +154,20 @@ def check_result3(rs: ResidualSet, w: WeightVector) -> ResultVerdict:
     """
     _require_two_models(rs)
     _check_weight_length(rs, w)
-    cosines = cosine_matrix(rs)
-    scores = model_scores(rs)
-    best, s_min_sq = _best_member(scores)
-    thresholds = s_min_sq / np.outer(np.sqrt(scores), np.sqrt(scores))
-    m = rs.n_models
-    witnesses = tuple(
-        (i, j)
-        for i in range(m)
-        for j in range(i + 1, m)
-        if cosines[i, j] < thresholds[i, j]
-    )
-    s_sq = ensemble_score(rs, w)
+    geo = geometry_of(rs)
+    witnesses = _pairs_where(cosine_matrix(geo) < geo.thresholds)
+    s_sq = ensemble_score(geo, w)
     return ResultVerdict(
-        hypothesis_holds=s_sq < s_min_sq,
+        hypothesis_holds=s_sq < geo.s_min_sq,
         conclusion_holds=bool(witnesses),
         witnesses=witnesses,
-        s_min_sq=s_min_sq,
+        s_min_sq=geo.s_min_sq,
         s_sq=s_sq,
-        best_model_index=best,
+        best_model_index=geo.best,
     )
 
 
-def schwartz_bounds(rs: ResidualSet, w: WeightVector) -> ScoreBounds:
+def schwartz_bounds(rs: ResidualSet | ResidualGeometry, w: WeightVector) -> ScoreBounds:
     """Sharp envelope for the ensemble score.
 
     The upper bound is the squared weighted sum of the per-model root
@@ -196,31 +178,23 @@ def schwartz_bounds(rs: ResidualSet, w: WeightVector) -> ScoreBounds:
     side.
     """
     weights = _check_weight_length(rs, w)
-    entries = _correspondence_entries(rs)
-    scores = entries.diagonal()
-    norms = np.sqrt(scores)
-    upper = float(weights @ norms) ** 2
-    actual = ensemble_score(rs, w)
+    geo = geometry_of(rs)
+    upper = float(weights @ geo.norms) ** 2
+    actual = ensemble_score(geo, w)
     if actual > upper + 1e-10 * max(upper, actual):
         raise EnsdiagError(
             f"internal inconsistency: ensemble score {actual!r} exceeds its "
             f"upper bound {upper!r}"
         )
-    live = np.flatnonzero(scores > 0.0)
-    upper_tight = True
-    for a in range(live.size):
-        for b in range(a + 1, live.size):
-            i, j = int(live[a]), int(live[b])
-            if entries[i, j] / (norms[i] * norms[j]) < 1.0 - TIGHT_COSINE_TOL:
-                upper_tight = False
-                break
-        if not upper_tight:
-            break
+    live = np.flatnonzero(geo.norms > 0.0)
+    norms = geo.norms[live]
+    cosines = geo.entries[np.ix_(live, live)] / np.outer(norms, norms)
+    upper_tight = not np.triu(cosines < 1.0 - TIGHT_COSINE_TOL, k=1).any()
     return ScoreBounds(lower=0.0, upper=upper, actual=actual, upper_tight=upper_tight)
 
 
 def classify_regime(
-    rs: ResidualSet, tol_equal: float = 0.05, tol_cos: float = 0.1
+    rs: ResidualSet | ResidualGeometry, tol_equal: float = 0.05, tol_cos: float = 0.1
 ) -> Regime:
     """Classify the ensemble into one of two special-case geometries.
 
@@ -234,25 +208,20 @@ def classify_regime(
     _require_two_models(rs)
     if not (0.0 < tol_equal < 1.0) or not (0.0 < tol_cos < 1.0):
         raise ValidationError("regime tolerances must lie strictly between 0 and 1")
-    cosines = cosine_matrix(rs)
-    scores = model_scores(rs)
-    best, s_min_sq = _best_member(scores)
-    m = rs.n_models
-    upper = np.triu_indices(m, k=1)
+    geo = geometry_of(rs)
+    cosines = cosine_matrix(geo)
+    scores, best, s_min_sq = geo.scores, geo.best, geo.s_min_sq
+    pairs = np.triu(np.ones(cosines.shape, dtype=bool), k=1)
 
     equally_good = float(scores.max()) / s_min_sq - 1.0 <= tol_equal
-    low_corr = bool(np.all(cosines[upper] <= tol_cos))
+    low_corr = bool(np.all(cosines[pairs] <= tol_cos))
     if equally_good and low_corr:
         return Regime.EQUALLY_GOOD_LOW_CORRESPONDENCE
 
     others = np.delete(scores, best)
     dominant = s_min_sq <= tol_equal * float(others.min())
-    non_best_positive = all(
-        cosines[i, j] > 0.0
-        for i in range(m)
-        for j in range(i + 1, m)
-        if i != best and j != best
-    )
+    pairs[best, :] = pairs[:, best] = False
+    non_best_positive = bool(np.all(cosines[pairs] > 0.0))
     if dominant and non_best_positive:
         return Regime.DOMINANT_BEST_POSITIVE_CORRESPONDENCE
     return Regime.NEITHER

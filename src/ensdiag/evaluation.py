@@ -4,7 +4,10 @@ Which member is best can change from one stretch of the interval to the
 next.  ``split_interval`` partitions the data so weights can be fitted
 on one part and judged on the other, and ``sweep_best_model`` walks a
 window across the interval reporting the best member and whether the
-average wins in each position.
+average wins in each position.  The sweep forms no per-window geometry:
+it reduces every window at once, and forms the residual geometry once, on
+the full interval, for the direct-against-expansion cross-check of the
+ensemble score.
 """
 
 from __future__ import annotations
@@ -12,15 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     ModelEnsemble,
     ObservationSeries,
-    ResidualSet,
     WeightVector,
-    _check_weight_length,
     ensemble_score,
-    model_scores,
+    model_scores,  # unused here; perfbench/worker.py traces it by name
     residuals,
 )
 from .errors import AlignmentError, ValidationError
@@ -108,7 +110,7 @@ def sweep_best_model(
     w: WeightVector,
 ) -> list[SweepRow]:
     """Evaluate every window position; a trailing partial window is dropped."""
-    _check_aligned(obs, ens)
+    full = residuals(ens, obs)
     window = int(window)
     stride = int(stride)
     if window < 1 or window > obs.n_points:
@@ -117,26 +119,18 @@ def sweep_best_model(
         )
     if stride < 1:
         raise ValidationError("stride must be at least 1")
-    full = residuals(ens, obs)
-    _check_weight_length(full, w)
-    rows = []
-    for start in range(0, obs.n_points - window + 1, stride):
-        rs = ResidualSet(full.residuals[:, start : start + window], window)
-        scores = model_scores(rs)
-        best = int(np.argmin(scores))
-        s_min_sq = float(scores[best])
-        s_sq = ensemble_score(rs, w)
-        rows.append(
-            SweepRow(
-                window_start=int(obs.times[start]),
-                window_end=int(obs.times[start + window - 1]),
-                best_model_index=best,
-                s_min_sq=s_min_sq,
-                s_sq=s_sq,
-                average_wins=s_sq < s_min_sq,
-            )
-        )
-    return rows
+    ensemble_score(full, w)  # its cross-checks, once for the whole interval
+    # The reductions of model_scores and of the direct ensemble score over all
+    # windows at once; differenced cumulative sums would cancel on long series.
+    z = sliding_window_view(full.residuals, window, axis=-1)[:, ::stride]
+    zbar = sliding_window_view(w.weights @ full.residuals, window)[::stride]
+    scores = np.einsum("mst,mst->ms", z, z) / window
+    s_sq = (zbar[:, None, :] @ zbar[:, :, None])[:, 0, 0] / window
+    best = np.argmin(scores, axis=0)  # ties resolve to the lowest index
+    s_min_sq = scores[best, np.arange(best.size)]
+    starts = obs.times[: obs.n_points - window + 1 : stride].tolist()
+    rows = zip(starts, best.tolist(), s_min_sq.tolist(), s_sq.tolist())
+    return [SweepRow(t, t + window - 1, b, lo, avg, avg < lo) for t, b, lo, avg in rows]
 
 
 def calibrate_then_validate(

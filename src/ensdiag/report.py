@@ -20,12 +20,12 @@ import numpy as np
 from .core import (
     ModelEnsemble,
     ObservationSeries,
-    ResidualSet,
     WeightVector,
     cosine_matrix,
     correspondence_matrix,
     ensemble_score,
-    model_scores,
+    geometry_of,
+    model_scores,  # unused here; perfbench/worker.py traces it by name
     residuals,
 )
 from .diagnostics import (
@@ -112,36 +112,33 @@ def build_report(
     opt_max_iter: int | None = None,
     opt_tol: float | None = None,
 ) -> DiagnosticsReport:
-    """Run the full diagnostic battery and collect it into one report."""
-    rs = residuals(ens, obs)
-    scores = model_scores(rs)
-    corr = correspondence_matrix(rs).entries
-    perfect = tuple(int(i) for i in np.flatnonzero(scores == 0.0))
+    """Run the full diagnostic battery and collect it into one report.
+
+    The residual geometry is formed once and every check reads it.
+    """
+    geo = geometry_of(residuals(ens, obs))
+    perfect = tuple(int(i) for i in np.flatnonzero(geo.scores == 0.0))
     m = ens.n_models
     angles_defined = m >= 2 and not perfect
-
-    cosines = _matrix_rows(cosine_matrix(rs)) if not perfect else None
-    s_sq = ensemble_score(rs, weights)
-    best = int(np.argmin(scores))
     return DiagnosticsReport(
         interval_start=int(obs.times[0]),
         interval_end=int(obs.times[-1]),
         n_points=obs.n_points,
         model_names=ens.model_names,
         weights_used=tuple(float(x) for x in weights.weights),
-        per_model_scores=tuple(float(s) for s in scores),
-        correspondence=_matrix_rows(corr),
-        cosines=cosines,
+        per_model_scores=tuple(float(s) for s in geo.scores),
+        correspondence=_matrix_rows(correspondence_matrix(geo).entries),
+        cosines=None if perfect else _matrix_rows(cosine_matrix(geo)),
         perfect_models=perfect,
-        ensemble_score=s_sq,
-        best_index=best,
-        best_name=ens.model_names[best],
-        s_min_sq=float(scores[best]),
-        result1=check_result1(rs, weights) if m >= 2 else None,
-        result2=check_result2(rs, weights) if angles_defined else None,
-        result3=check_result3(rs, weights) if angles_defined else None,
-        bounds=schwartz_bounds(rs, weights),
-        regime=classify_regime(rs, tol_equal, tol_cos) if angles_defined else None,
+        ensemble_score=ensemble_score(geo, weights),
+        best_index=geo.best,
+        best_name=ens.model_names[geo.best],
+        s_min_sq=geo.s_min_sq,
+        result1=check_result1(geo, weights) if m >= 2 else None,
+        result2=check_result2(geo, weights) if angles_defined else None,
+        result3=check_result3(geo, weights) if angles_defined else None,
+        bounds=schwartz_bounds(geo, weights),
+        regime=classify_regime(geo, tol_equal, tol_cos) if angles_defined else None,
         settings=ReportSettings(
             tol_equal=float(tol_equal),
             tol_cos=float(tol_cos),
@@ -338,9 +335,12 @@ def _parse_time(cell: str, row: int, column: int) -> int:
     if "_" in text:
         raise CsvParseError(row, column, f"invalid integer {cell!r}")
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise CsvParseError(row, column, f"invalid integer {cell!r}") from None
+    if not -(2**63) <= value < 2**63:
+        raise CsvParseError(row, column, f"integer {cell!r} is out of the int64 range")
+    return value
 
 
 def _parse_value(cell: str, row: int, column: int) -> float:

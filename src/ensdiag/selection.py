@@ -11,7 +11,8 @@ import numpy as np
 from .core import (
     ObservationSeries,
     ResidualSet,
-    _correspondence_entries,
+    _correspondence_entries,  # unused here; perfbench/worker.py traces it by name
+    geometry_of,
     model_scores,
 )
 from .errors import AlignmentError, ValidationError, ZeroNormError
@@ -126,13 +127,9 @@ def _exhaustive_subset(entries: np.ndarray, k: int) -> tuple[int, ...]:
 
 def _greedy_subset(entries: np.ndarray, k: int) -> tuple[int, ...]:
     m = entries.shape[0]
-    best_pair = (0, 1)
-    best_value = math.inf
-    for i in range(m):
-        for j in range(i + 1, m):
-            if entries[i, j] < best_value:
-                best_pair, best_value = (i, j), float(entries[i, j])
-    chosen = list(best_pair)
+    rows, cols = np.triu_indices(m, k=1)
+    seed = int(np.argmin(entries[rows, cols]))  # first minimum in row-major order
+    chosen = [int(rows[seed]), int(cols[seed])]
     while len(chosen) < k:
         best_candidate = -1
         best_gain = math.inf
@@ -163,7 +160,7 @@ def anti_correlated_subset(
         raise ValidationError(f"k must lie in [2, {m}]; got {k}")
     if method not in ("auto", "exhaustive", "greedy"):
         raise ValidationError("method must be 'auto', 'exhaustive', or 'greedy'")
-    entries = _correspondence_entries(rs)
+    entries = geometry_of(rs).entries
     if method == "auto":
         method = "exhaustive" if math.comb(m, k) <= EXHAUSTIVE_LIMIT else "greedy"
     if method == "exhaustive":

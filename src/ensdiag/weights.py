@@ -13,11 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    CorrespondenceMatrix,
     ResidualSet,
     WeightVector,
-    _correspondence_entries,
-    correspondence_matrix,
+    _correspondence_entries,  # unused here; perfbench/worker.py traces it by name
+    geometry_of,
 )
 from .errors import ValidationError
 
@@ -29,7 +28,6 @@ __all__ = [
     "uniform_weights",
     "project_to_simplex",
     "optimal_weights",
-    "gram_matrix",
 ]
 
 DEFAULT_MAX_ITER = 10_000
@@ -123,7 +121,7 @@ def optimal_weights(
     if not tol > 0.0:
         raise ValidationError("tol must be positive")
     m = rs.n_models
-    gram = _correspondence_entries(rs)
+    gram = geometry_of(rs).entries
     diag = gram.diagonal()
 
     perfect = np.flatnonzero(diag == 0.0)
@@ -179,13 +177,3 @@ def optimal_weights(
         converged=converged,
         active_support=support,
     )
-
-
-def gram_matrix(rs: ResidualSet) -> CorrespondenceMatrix:
-    """The correspondence matrix, verbatim, under its quadratic-form reading.
-
-    With ``G`` this matrix, the ensemble score is ``w @ G @ w``: the
-    diagonal carries the squared-weight score terms and the off-diagonal
-    entries carry the cross terms.
-    """
-    return correspondence_matrix(rs)

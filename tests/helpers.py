@@ -2,7 +2,9 @@
 
 Oracles deliberately avoid the library's own code paths: scores and
 correspondences are recomputed with ``math.fsum`` over Python floats,
-and the simplex minimum is found by brute-force grid search.
+and the simplex minimum is found by brute-force grid search.  The loop
+references at the end are the pair loops and the per-window sweep that
+the library replaced with array masks and whole-array window reductions.
 """
 
 from __future__ import annotations
@@ -11,7 +13,18 @@ import math
 
 import numpy as np
 
-from ensdiag import ResidualSet, WeightVector
+from ensdiag import (
+    TIGHT_COSINE_TOL,
+    Regime,
+    ResidualSet,
+    SweepRow,
+    WeightVector,
+    correspondence_matrix,
+    cosine_matrix,
+    ensemble_score,
+    model_scores,
+    residuals,
+)
 
 
 def random_residual_set(rng, m_range=(2, 8), t_range=(2, 64), scale=10.0):
@@ -90,3 +103,109 @@ def grid_minimum(gram: np.ndarray, step: float) -> float:
 def dyadic_array(rng, shape, denominator=1024, span=10_000):
     """Random dyadic rationals; sums and differences stay exact in float64."""
     return rng.integers(-span, span + 1, size=shape).astype(np.float64) / denominator
+
+
+# ---------------------------------------------------------------------------
+# Loop references
+# ---------------------------------------------------------------------------
+
+
+def _pairs(m: int, keep) -> tuple[tuple[int, int], ...]:
+    return tuple((i, j) for i in range(m) for j in range(i + 1, m) if keep(i, j))
+
+
+def witnesses_reference(rs: ResidualSet):
+    """Witness tuples of Results 1, 2 and 3, by pair loops."""
+    m = rs.n_models
+    entries = correspondence_matrix(rs).entries
+    diag = entries.diagonal()
+    s_corr = float(diag[int(np.argmin(diag))])
+    cosines = cosine_matrix(rs)
+    scores = model_scores(rs)
+    s_min_sq = float(scores[int(np.argmin(scores))])
+    thresholds = s_min_sq / np.outer(np.sqrt(scores), np.sqrt(scores))
+    return (
+        _pairs(m, lambda i, j: not entries[i, j] > s_corr),
+        _pairs(m, lambda i, j: not cosines[i, j] > thresholds[i, j]),
+        _pairs(m, lambda i, j: cosines[i, j] < thresholds[i, j]),
+    )
+
+
+def upper_tight_reference(rs: ResidualSet) -> bool:
+    """Whether every live pair is collinear within TIGHT_COSINE_TOL, by loops."""
+    entries = correspondence_matrix(rs).entries
+    scores = entries.diagonal()
+    norms = np.sqrt(scores)
+    live = np.flatnonzero(scores > 0.0)
+    for a in range(live.size):
+        for b in range(a + 1, live.size):
+            i, j = int(live[a]), int(live[b])
+            if entries[i, j] / (norms[i] * norms[j]) < 1.0 - TIGHT_COSINE_TOL:
+                return False
+    return True
+
+
+def regime_reference(rs: ResidualSet, tol_equal: float, tol_cos: float) -> Regime:
+    """The regime classifier with its non-best pair test as a loop."""
+    cosines = cosine_matrix(rs)
+    scores = model_scores(rs)
+    best = int(np.argmin(scores))
+    s_min_sq = float(scores[best])
+    m = rs.n_models
+    equally_good = float(scores.max()) / s_min_sq - 1.0 <= tol_equal
+    low_corr = all(cosines[i, j] <= tol_cos for i, j in _pairs(m, lambda i, j: True))
+    if equally_good and low_corr:
+        return Regime.EQUALLY_GOOD_LOW_CORRESPONDENCE
+    dominant = s_min_sq <= tol_equal * float(np.delete(scores, best).min())
+    non_best_positive = all(
+        cosines[i, j] > 0.0 for i, j in _pairs(m, lambda i, j: best not in (i, j))
+    )
+    if dominant and non_best_positive:
+        return Regime.DOMINANT_BEST_POSITIVE_CORRESPONDENCE
+    return Regime.NEITHER
+
+
+def greedy_subset_reference(entries: np.ndarray, k: int) -> tuple[int, ...]:
+    """Greedy forward selection seeded by a loop over the pairs."""
+    m = entries.shape[0]
+    best_pair = (0, 1)
+    best_value = math.inf
+    for i in range(m):
+        for j in range(i + 1, m):
+            if entries[i, j] < best_value:
+                best_pair, best_value = (i, j), float(entries[i, j])
+    chosen = list(best_pair)
+    while len(chosen) < k:
+        best_candidate = -1
+        best_gain = math.inf
+        for candidate in range(m):
+            if candidate in chosen:
+                continue
+            gain = float(entries[chosen, candidate].sum())
+            if gain < best_gain:
+                best_candidate, best_gain = candidate, gain
+        chosen.append(best_candidate)
+    return tuple(sorted(chosen))
+
+
+def sweep_reference(obs, ens, window: int, stride: int, w) -> list[SweepRow]:
+    """The sweep as one residual set and one ensemble score per window."""
+    full = residuals(ens, obs)
+    rows = []
+    for start in range(0, obs.n_points - window + 1, stride):
+        rs = ResidualSet(full.residuals[:, start : start + window], window)
+        scores = model_scores(rs)
+        best = int(np.argmin(scores))
+        s_min_sq = float(scores[best])
+        s_sq = ensemble_score(rs, w)
+        rows.append(
+            SweepRow(
+                window_start=int(obs.times[start]),
+                window_end=int(obs.times[start + window - 1]),
+                best_model_index=best,
+                s_min_sq=s_min_sq,
+                s_sq=s_sq,
+                average_wins=s_sq < s_min_sq,
+            )
+        )
+    return rows

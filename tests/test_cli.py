@@ -205,3 +205,28 @@ def test_malformed_csv_is_data_error(tmp_path):
     code, _, err = _run(["diagnose", "--input", str(path)])
     assert code == 1
     assert "row 2" in err
+
+
+#: Residuals near 1e200 overflow the correspondence entries.
+OVERFLOW = "t,Y,a,b,c\n" + "".join(
+    f"{t},0.0,{(t % 3 + 1) * 1e200},{-(t % 2 + 1) * 2e200},{(t % 4) * 1.5e200}\n"
+    for t in range(8)
+)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diagnose"],
+        ["diagnose", "--weights", "optimal"],
+        ["diagnose", "--calibration-end", "3"],
+        ["optimize"],
+        ["select", "--mode", "anticorr", "--k", "2"],
+    ],
+)
+def test_overflowing_residuals_are_one_line_data_errors(tmp_path, argv):
+    path = tmp_path / "overflow.csv"
+    path.write_text(OVERFLOW, encoding="utf-8")
+    code, out, err = _run([argv[0], "--input", str(path), *argv[1:]])
+    assert (code, out, err) == (1, "", "error: correspondence entries must be finite\n")

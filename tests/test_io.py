@@ -62,6 +62,8 @@ def test_parse_reports_row_and_column():
         parse_ensemble_csv("t,Y,m1\n0,0,abc\n")
     with pytest.raises(CsvParseError, match="row 2, column 1"):
         parse_ensemble_csv("t,Y,m1\n0.5,0,1\n")
+    with pytest.raises(CsvParseError, match="row 2, column 1"):
+        parse_ensemble_csv("t,Y,m1\n9223372036854775808,0,1\n")
 
 
 def test_parse_missing_cell():

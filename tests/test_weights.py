@@ -12,14 +12,13 @@ from ensdiag import (
     WeightVector,
     correspondence_matrix,
     ensemble_score,
-    gram_matrix,
     model_scores,
     optimal_weights,
     project_to_simplex,
     uniform_weights,
 )
 from ensdiag.weights import _max_eigenvalue
-from helpers import grid_minimum, random_residual_set, random_weights
+from helpers import grid_minimum, random_residual_set
 
 
 # ---------------------------------------------------------------------------
@@ -189,32 +188,3 @@ def test_optimal_weights_feasible_and_deterministic():
     assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12
     assert all(w[i] > 1e-10 for i in first.active_support)
 
-
-# ---------------------------------------------------------------------------
-# gram_matrix
-# ---------------------------------------------------------------------------
-
-
-def test_gram_matrix_examples():
-    assert np.array_equal(gram_matrix(ResidualSet([[1.0, 1.0]], 2)).entries, [[1.0]])
-    gram = gram_matrix(ResidualSet([[1.0, 1.0], [2.0, 2.0]], 2)).entries
-    assert np.array_equal(gram, [[1.0, 2.0], [2.0, 4.0]])
-
-
-def test_gram_matrix_is_correspondence_verbatim():
-    rng = np.random.default_rng(71)
-    rs = random_residual_set(rng)
-    assert np.array_equal(
-        gram_matrix(rs).entries, correspondence_matrix(rs).entries
-    )
-
-
-def test_quadratic_form_reads_ensemble_score():
-    rng = np.random.default_rng(73)
-    for _ in range(50):
-        rs = random_residual_set(rng)
-        w = random_weights(rng, rs.n_models)
-        gram = gram_matrix(rs).entries
-        assert float(w.weights @ gram @ w.weights) == pytest.approx(
-            ensemble_score(rs, w), rel=1e-10
-        )
