@@ -55,11 +55,11 @@ def _add_weight_options(parser: argparse.ArgumentParser) -> None:
 def _add_opt_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--opt-max-iter", type=int, default=DEFAULT_MAX_ITER,
-        help="iteration cap for the weight optimizer",
+        help="cap on the weight optimizer's active-set steps",
     )
     parser.add_argument(
         "--opt-tol", type=float, default=DEFAULT_TOL,
-        help="relative score-change tolerance for optimizer convergence",
+        help="weight optimizer's KKT-gap tolerance, relative to the score",
     )
 
 

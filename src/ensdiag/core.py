@@ -295,6 +295,18 @@ class ResidualGeometry:
     def n_models(self) -> int:
         return int(self.entries.shape[0])
 
+    def best_vertex_is_optimal(self) -> bool:
+        """Row test, the exact form of Result 1.
+
+        The member ``b`` with the least ``entries`` diagonal (lowest index on
+        ties) minimises ``w @ entries @ w`` over the simplex iff
+        ``entries[b, m] >= entries[b, b]`` for every ``m``: the gradient
+        ``2 * entries[b]`` at the vertex has no descent direction.
+        """
+        diag = self.entries.diagonal()
+        b = int(np.argmin(diag))
+        return bool(np.all(self.entries[b] >= diag[b]))
+
 
 def geometry_of(rs: ResidualSet | ResidualGeometry) -> ResidualGeometry:
     """Form the geometry of a residual set; a formed one passes through."""

@@ -152,7 +152,8 @@ def anti_correlated_subset(
     ``sum_{m != m'} (1/k^2) * R[m, m']`` over size-``k`` subsets:
     exhaustively while the subset count permits, by greedy forward
     selection from the least-correspondent pair otherwise.  Ties resolve
-    to the lexicographically smallest index set.
+    to the lexicographically smallest index set.  Entries so large that
+    ``k**2`` of them could overflow a sum raise ValidationError.
     """
     m = rs.n_models
     k = int(k)
@@ -161,6 +162,9 @@ def anti_correlated_subset(
     if method not in ("auto", "exhaustive", "greedy"):
         raise ValidationError("method must be 'auto', 'exhaustive', or 'greedy'")
     entries = geometry_of(rs).entries
+    # every partial sum of the search is bounded by k^2 max|R|
+    if not math.isfinite(k * k * float(np.abs(entries).max())):
+        raise ValidationError(f"correspondence entries are too large to sum over {k} models")
     if method == "auto":
         method = "exhaustive" if math.comb(m, k) <= EXHAUSTIVE_LIMIT else "greedy"
     if method == "exhaustive":

@@ -1,13 +1,16 @@
 """Weight construction: uniform weights and the simplex-constrained minimizer.
 
 The ensemble score is a convex quadratic ``w @ G @ w`` in the weights,
-with ``G`` the correspondence matrix, so the minimizer over the
-probability simplex is found by projected gradient descent with an exact
-Euclidean simplex projection.
+with ``G`` the correspondence matrix, so its minimizer over the
+probability simplex is the minimum-norm point in the convex hull of the
+residual vectors (Wolfe, 1976).  A primal active-set method finds it
+exactly in finitely many steps, and the Frank-Wolfe gap of the answer
+certifies it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +19,7 @@ from .core import (
     ResidualSet,
     WeightVector,
     _correspondence_entries,  # unused here; perfbench/worker.py traces it by name
+    ensemble_score,
     geometry_of,
 )
 from .errors import ValidationError
@@ -39,13 +43,19 @@ ACTIVE_SUPPORT_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class OptimizationOutcome:
-    """Result of minimizing the ensemble score over the simplex."""
+    """Result of minimizing the ensemble score over the simplex.
+
+    ``kkt_gap`` is the Frank-Wolfe gap ``g @ w - min(g)`` of the returned
+    weights, with ``g = 2 G w``: zero exactly at the optimum, and an upper
+    bound on how far ``score`` lies above it.
+    """
 
     weights: WeightVector
     score: float
     iterations: int
     converged: bool
     active_support: tuple[int, ...]
+    kkt_gap: float
 
 
 def uniform_weights(n_models: int) -> WeightVector:
@@ -74,28 +84,78 @@ def project_to_simplex(v) -> np.ndarray:
     return np.maximum(arr - tau, 0.0)
 
 
-def _max_eigenvalue(matrix: np.ndarray, max_iter: int = 200, rtol: float = 1e-12) -> float:
-    """Power-iteration estimate of the largest eigenvalue of a PSD matrix."""
-    v = np.linspace(1.0, 2.0, matrix.shape[0])
-    v /= np.linalg.norm(v)
-    estimate = 0.0
-    for _ in range(max_iter):
-        image = matrix @ v
-        norm = float(np.linalg.norm(image))
-        if norm == 0.0:
-            return 0.0
-        v = image / norm
-        current = float(v @ matrix @ v)
-        if abs(current - estimate) <= rtol * abs(current):
-            return max(current, 0.0)
-        estimate = current
-    return max(estimate, 0.0)
-
-
 def _indicator(m: int, index: int) -> np.ndarray:
     w = np.zeros(m)
     w[index] = 1.0
     return w
+
+
+def _face_minimizer(block: np.ndarray) -> np.ndarray:
+    """Minimizer of ``v @ block @ v`` subject to ``sum(v) == 1``.
+
+    Solves the KKT system ``[[2 block, 1], [1, 0]]``.  It is singular when
+    the face holds duplicate members, or more members than the residuals'
+    affine rank; its least-squares solution is then one of the minimizers.
+    """
+    n = block.shape[0]
+    kkt = np.ones((n + 1, n + 1))
+    kkt[:n, :n] = 2.0 * block
+    kkt[n, n] = 0.0
+    rhs = np.zeros(n + 1)
+    rhs[n] = 1.0
+    try:
+        solution = np.linalg.solve(kkt, rhs)
+        if np.all(np.isfinite(solution)):
+            return solution[:n]
+    except np.linalg.LinAlgError:
+        pass
+    return np.linalg.lstsq(kkt, rhs, rcond=None)[0][:n]
+
+
+def _active_set(gram: np.ndarray, floor: float, max_iter: int, tol: float):
+    """Primal active-set minimization of ``w @ gram @ w`` over the simplex.
+
+    From the uniform point on the full support, each step minimizes over
+    the affine hull of the support.  A minimizer with a member at or below
+    zero is approached until the first member reaches zero, and that
+    member leaves the support.  A strictly positive one is taken, and the
+    member of least gradient joins the support, unless the Frank-Wolfe gap
+    is within ``tol * value + floor``, the value stopped falling, or that
+    member is already in the support.  Returns the weights and the number
+    of KKT solves.
+    """
+    m = gram.shape[0]
+    w = np.full(m, 1.0 / m)
+    support = np.ones(m, dtype=bool)
+    last = math.inf
+    iterations = 0
+    while iterations < max_iter:
+        iterations += 1
+        idx = np.flatnonzero(support)
+        v = _face_minimizer(gram[np.ix_(idx, idx)])
+        if np.all(v > 0.0):
+            w[idx] = v
+            g = 2.0 * (gram @ w)
+            value = 0.5 * float(g @ w)
+            enter = int(np.argmin(g))
+            gap = float(g @ w) - float(g[enter])
+            if gap <= tol * value + floor or value >= last or support[enter]:
+                break
+            last = value
+            support[enter] = True
+        else:
+            current = w[idx]
+            blocking = np.flatnonzero(v <= 0.0)
+            shrink = current[blocking] - v[blocking]
+            ratios = np.divide(
+                current[blocking], shrink, out=np.zeros(blocking.size), where=shrink > 0.0
+            )
+            first = int(np.argmin(ratios))  # lowest index among ties
+            w[idx] = np.maximum(current + ratios[first] * (v - current), 0.0)
+            leaving = int(idx[blocking[first]])
+            w[leaving] = 0.0
+            support[leaving] = False
+    return w, iterations
 
 
 def optimal_weights(
@@ -105,75 +165,50 @@ def optimal_weights(
 ) -> OptimizationOutcome:
     """Minimize the ensemble score over the probability simplex.
 
-    Projected gradient descent from the uniform start with step
-    ``1 / (2 * lambda_max)``, where ``lambda_max`` is a power-iteration
-    estimate of the largest eigenvalue of the correspondence matrix.
-    Convergence means the relative score change of one step fell below
-    ``tol``.  The returned score never exceeds the best vertex (best
-    single member) or the uniform start, whatever the iteration budget:
-    the best iterate seen and the best vertex are both candidates.
+    A primal active-set method on the correspondence matrix ``G``, from
+    the uniform start, taking at most ``max_iter`` KKT solves.  It works
+    on ``G`` divided by an exact power of two near its largest score, so
+    no intermediate overflows and the weights do not depend on the units
+    of the data.  ``converged`` means the Frank-Wolfe gap of the returned
+    weights is at most ``tol * score`` plus the rounding allowance
+    ``M * eps * max|G|``.  The steps never raise the score above the
+    uniform start's, and the best vertex (best single member) is a
+    candidate whatever the budget, so the returned score exceeds neither.
 
-    A member with exactly zero residual is returned immediately with
-    full weight; no averaging can beat it.
+    When the member with the least score is already optimal (its row of
+    ``G`` passes the row test, as it always does for a member with zero
+    residual or a single model) it is returned at once with full weight.
     """
     if int(max_iter) < 1:
         raise ValidationError("max_iter must be at least 1")
     if not tol > 0.0:
         raise ValidationError("tol must be positive")
-    m = rs.n_models
-    gram = geometry_of(rs).entries
-    diag = gram.diagonal()
-
-    perfect = np.flatnonzero(diag == 0.0)
-    if perfect.size:
-        index = int(perfect[0])
-        return OptimizationOutcome(
-            weights=WeightVector(_indicator(m, index)),
-            score=0.0,
-            iterations=0,
-            converged=True,
-            active_support=(index,),
-        )
-    if m == 1:
-        return OptimizationOutcome(
-            weights=WeightVector(np.ones(1)),
-            score=float(diag[0]),
-            iterations=0,
-            converged=True,
-            active_support=(0,),
-        )
-
-    lam = max(_max_eigenvalue(gram), float(diag.max()))
-    step = 1.0 / (2.0 * lam)
-
-    w = np.full(m, 1.0 / m)
-    value = float(w @ gram @ w)
-    best_w, best_value = w, value
-    converged = False
-    iterations = 0
-    for iteration in range(1, int(max_iter) + 1):
-        w = project_to_simplex(w - step * 2.0 * (gram @ w))
-        new_value = float(w @ gram @ w)
-        iterations = iteration
-        if new_value < best_value:
-            best_w, best_value = w, new_value
-        if abs(value - new_value) <= tol * max(abs(value), abs(new_value)):
-            converged = True
-            break
-        value = new_value
+    geo = geometry_of(rs)
+    m = geo.n_models
+    diag = geo.entries.diagonal()
+    # a power of two, so that dividing by it is exact
+    scale = math.ldexp(1.0, math.frexp(float(diag.max()))[1] - 1)
+    gram = geo.entries / scale
+    floor = m * float(np.finfo(np.float64).eps) * float(np.abs(gram).max())
 
     vertex = int(np.argmin(diag))
-    if float(diag[vertex]) < best_value:
-        best_w = _indicator(m, vertex)
+    if diag[vertex] == 0.0 or geo.best_vertex_is_optimal():
+        w, iterations = _indicator(m, vertex), 0
+        score = float(geo.scores[vertex])
+    else:
+        w, iterations = _active_set(gram, floor, int(max_iter), tol)
+        w /= w.sum()
+        score = ensemble_score(geo, WeightVector(w))
+        if geo.s_min_sq < score:
+            w, score = _indicator(m, geo.best), geo.s_min_sq
 
-    final = np.maximum(best_w, 0.0)
-    final /= final.sum()
-    score = float(final @ gram @ final)
-    support = tuple(int(i) for i in np.flatnonzero(final > ACTIVE_SUPPORT_TOL))
+    g = 2.0 * (gram @ w)
+    gap = max(float(g @ w - g.min()), 0.0)
     return OptimizationOutcome(
-        weights=WeightVector(final),
+        weights=WeightVector(w),
         score=score,
         iterations=iterations,
-        converged=converged,
-        active_support=support,
+        converged=gap <= tol * score / scale + floor,
+        active_support=tuple(int(i) for i in np.flatnonzero(w > ACTIVE_SUPPORT_TOL)),
+        kkt_gap=gap * scale,
     )

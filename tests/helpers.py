@@ -2,7 +2,8 @@
 
 Oracles deliberately avoid the library's own code paths: scores and
 correspondences are recomputed with ``math.fsum`` over Python floats,
-and the simplex minimum is found by brute-force grid search.  The loop
+and the simplex minimum is found by brute-force grid search or, exactly,
+by enumerating every support.  The loop
 references at the end are the pair loops and the per-window sweep that
 the library replaced with array masks and whole-array window reductions.
 """
@@ -10,6 +11,7 @@ the library replaced with array masks and whole-array window reductions.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 
@@ -98,6 +100,47 @@ def grid_minimum(gram: np.ndarray, step: float) -> float:
     grid = simplex_grid(gram.shape[0], step)
     values = np.einsum("ij,jk,ik->i", grid, gram, grid)
     return float(values.min())
+
+
+def enumeration_minimum(rs: ResidualSet) -> float:
+    """Exact simplex minimum of the ensemble score, for up to eight models.
+
+    The minimizer is the minimizer over the affine hull of its own support,
+    so it is the best strictly positive affine minimizer over all supports.
+    Each comes from the support's KKT system by least squares (SVD), and
+    its score from the averaged residual directly.
+    """
+    z = rs.residuals
+    m = rs.n_models
+    if m > 8:
+        raise NotImplementedError("enumeration oracle covers up to eight models")
+    gram = (z @ z.T) / rs.n_points
+    best_score = math.inf
+    for size in range(1, m + 1):
+        for support in combinations(range(m), size):
+            idx = list(support)
+            kkt = np.ones((size + 1, size + 1))
+            kkt[:size, :size] = 2.0 * gram[np.ix_(idx, idx)]
+            kkt[size, size] = 0.0
+            rhs = np.zeros(size + 1)
+            rhs[size] = 1.0
+            v = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:size]
+            if not np.all(v > 0.0):
+                continue
+            w = np.zeros(m)
+            w[idx] = v / v.sum()
+            zbar = w @ z
+            best_score = min(best_score, float(np.sum(zbar * zbar)) / rs.n_points)
+    return best_score
+
+
+def illcond_residual_set(rng, m: int, sigma: float, t: int = 500) -> ResidualSet:
+    """Errors sharing one component, with loadings of both signs, plus
+    independent noise of size ``sigma``: the Gram's condition grows as
+    ``1 / sigma**2``."""
+    loading = rng.permutation(np.linspace(-0.5, 1.5, m))[:, None]
+    z = loading * rng.normal(0.0, 1.0, t) + sigma * rng.normal(0.0, 1.0, (m, t))
+    return ResidualSet(z, t)
 
 
 def dyadic_array(rng, shape, denominator=1024, span=10_000):

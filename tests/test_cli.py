@@ -214,19 +214,45 @@ OVERFLOW = "t,Y,a,b,c\n" + "".join(
 )
 
 
+def _huge(n_models):
+    """Residuals of 4.6e153: finite entries near 2e307, whose sums overflow."""
+    header = "t,Y," + ",".join(f"m{i}" for i in range(n_models))
+    return header + "\n" + "".join(f"{t},0.0" + ",4.6e153" * n_models + "\n" for t in range(8))
+
+
+NOT_FINITE = "error: correspondence entries must be finite\n"
+TOO_LARGE = "error: correspondence entries are too large to sum over 4 models\n"
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "argv",
+    "argv, text, expected",
     [
-        ["diagnose"],
-        ["diagnose", "--weights", "optimal"],
-        ["diagnose", "--calibration-end", "3"],
-        ["optimize"],
-        ["select", "--mode", "anticorr", "--k", "2"],
+        (["diagnose"], OVERFLOW, NOT_FINITE),
+        (["diagnose", "--weights", "optimal"], OVERFLOW, NOT_FINITE),
+        (["diagnose", "--calibration-end", "3"], OVERFLOW, NOT_FINITE),
+        (["optimize"], OVERFLOW, NOT_FINITE),
+        (["select", "--mode", "anticorr", "--k", "2"], OVERFLOW, NOT_FINITE),
+        # 4 of 4 models: exhaustive search; 4 of 30: greedy selection
+        (["select", "--mode", "anticorr", "--k", "4"], _huge(4), TOO_LARGE),
+        (["select", "--mode", "anticorr", "--k", "4"], _huge(30), TOO_LARGE),
     ],
+    ids=["argv0", "argv1", "argv2", "argv3", "argv4", "anticorr-exhaustive", "anticorr-greedy"],
 )
-def test_overflowing_residuals_are_one_line_data_errors(tmp_path, argv):
+def test_overflowing_residuals_are_one_line_data_errors(tmp_path, argv, text, expected):
     path = tmp_path / "overflow.csv"
-    path.write_text(OVERFLOW, encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     code, out, err = _run([argv[0], "--input", str(path), *argv[1:]])
-    assert (code, out, err) == (1, "", "error: correspondence entries must be finite\n")
+    assert (code, out, err) == (1, "", expected)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv", [["optimize"], ["diagnose", "--weights", "optimal"], ["diagnose", "--calibration-end", "3"]]
+)
+def test_optimizer_is_silent_on_huge_finite_entries(tmp_path, argv):
+    path = tmp_path / "huge.csv"
+    path.write_text(_huge(4), encoding="utf-8")
+    code, out, err = _run([argv[0], "--input", str(path), *argv[1:]])
+    assert (code, err) == (0, "")
+    assert json.loads(out)

@@ -1,5 +1,7 @@
 """Uniform weights, simplex projection, and the score minimizer."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from ensdiag import (
     ResidualSet,
     ValidationError,
     WeightVector,
+    check_result1,
     correspondence_matrix,
     ensemble_score,
     model_scores,
@@ -17,8 +20,13 @@ from ensdiag import (
     project_to_simplex,
     uniform_weights,
 )
-from ensdiag.weights import _max_eigenvalue
-from helpers import grid_minimum, random_residual_set
+from ensdiag.core import geometry_of
+from helpers import (
+    enumeration_minimum,
+    grid_minimum,
+    illcond_residual_set,
+    random_residual_set,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -74,24 +82,6 @@ def test_projection_is_nearest_feasible_point():
         for _ in range(200):
             q = rng.dirichlet(np.ones(m))
             assert d_proj <= np.linalg.norm(v - q) + 1e-12
-
-
-# ---------------------------------------------------------------------------
-# power iteration
-# ---------------------------------------------------------------------------
-
-
-def test_max_eigenvalue_against_eigvalsh():
-    rng = np.random.default_rng(47)
-    for _ in range(100):
-        rs = random_residual_set(rng)
-        gram = correspondence_matrix(rs).entries
-        exact = float(np.linalg.eigvalsh(gram).max())
-        estimate = _max_eigenvalue(gram)
-        # a Rayleigh quotient never exceeds the top eigenvalue; for the
-        # step size any estimate this close is more than enough
-        assert estimate <= exact * (1.0 + 1e-9)
-        assert estimate == pytest.approx(exact, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -188,3 +178,107 @@ def test_optimal_weights_feasible_and_deterministic():
     assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12
     assert all(w[i] > 1e-10 for i in first.active_support)
 
+
+
+def _fields(out):
+    return (
+        out.weights.weights.tobytes(),
+        out.score,
+        out.iterations,
+        out.converged,
+        out.active_support,
+        out.kkt_gap,
+    )
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_optimal_weights_match_enumeration_oracle_when_ill_conditioned(m):
+    rng = np.random.default_rng(71 + m)
+    for sigma in np.logspace(-3.0, 0.0, 7):
+        rs = illcond_residual_set(rng, m, sigma)
+        out = optimal_weights(rs)
+        exact = enumeration_minimum(rs)
+        assert out.converged
+        assert out.score == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+def test_optimal_weights_certificate_on_random_sets():
+    # includes sets with more members than points, whose KKT systems are
+    # singular and whose optimum is often the origin
+    rng = np.random.default_rng(73)
+    for _ in range(300):
+        rs = random_residual_set(rng)
+        out = optimal_weights(rs)
+        exact = enumeration_minimum(rs)
+        scale = float(model_scores(rs).max())
+        assert out.converged
+        assert out.score <= exact + 1e-12 * scale
+        assert out.iterations <= 4 * rs.n_models
+
+
+def test_optimal_weights_iteration_budget_does_not_change_the_answer():
+    rng = np.random.default_rng(79)
+    sets = [random_residual_set(rng) for _ in range(200)]
+    sets += [illcond_residual_set(rng, m, s) for m in range(3, 9) for s in (1e-3, 1e-2, 1.0)]
+    dup = rng.normal(size=(3, 40))
+    sets.append(ResidualSet(np.vstack([dup, dup, -dup[:1]]), 40))
+    for rs in sets:
+        assert _fields(optimal_weights(rs, max_iter=50)) == _fields(optimal_weights(rs))
+
+
+def test_optimal_weights_duplicate_members():
+    z = np.random.default_rng(83).normal(size=(2, 30))
+    for rows in ([z[0], z[0], z[1]], [z[0], z[1], z[0], z[1]], [z[0], -z[0], z[0]]):
+        rs = ResidualSet(np.array(rows), 30)
+        out = optimal_weights(rs)
+        exact = enumeration_minimum(rs)
+        assert out.converged
+        assert out.score <= exact + 1e-12 * float(model_scores(rs).max())
+
+
+@pytest.mark.parametrize("k", [-400, -211, -1, 1, 97, 400])
+def test_optimal_weights_do_not_depend_on_units(k):
+    rng = np.random.default_rng(89)
+    for _ in range(30):
+        rs = random_residual_set(rng)
+        scaled = ResidualSet(np.ldexp(rs.residuals, k), rs.n_points)
+        out, out_scaled = optimal_weights(rs), optimal_weights(scaled)
+        assert out_scaled.weights.weights.tobytes() == out.weights.weights.tobytes()
+        assert (out_scaled.iterations, out_scaled.converged) == (out.iterations, out.converged)
+        assert out_scaled.score == math.ldexp(out.score, 2 * k)
+
+
+def _row_test_population(rng):
+    for _ in range(150):
+        yield random_residual_set(rng)
+    for _ in range(150):
+        # one shared error with positive loadings: Result 1's hypothesis
+        # often holds
+        m, t = int(rng.integers(2, 9)), int(rng.integers(4, 64))
+        loading = rng.uniform(0.5, 1.5, size=(m, 1))
+        z = loading * rng.normal(size=t) + rng.uniform(0.0, 0.6) * rng.normal(size=(m, t))
+        yield ResidualSet(z, t)
+    for _ in range(100):
+        # a dominant best member along one error, the rest that error plus
+        # larger independent parts: the row test can hold where Result 1's
+        # hypothesis does not
+        m, t = int(rng.integers(3, 9)), int(rng.integers(4, 64))
+        u = rng.normal(size=t)
+        z = u + 2.0 * rng.normal(size=(m, t))
+        z[0] = rng.uniform(0.05, 0.5) * u
+        yield ResidualSet(z, t)
+
+
+def test_row_test_is_the_exact_form_of_result1():
+    rng = np.random.default_rng(97)
+    seen = {(True, True): 0, (False, True): 0, (False, False): 0}
+    for rs in _row_test_population(rng):
+        geo = geometry_of(rs)
+        row = geo.best_vertex_is_optimal()
+        hypothesis = check_result1(geo, uniform_weights(rs.n_models)).hypothesis_holds
+        assert row or not hypothesis
+        exact = enumeration_minimum(rs)
+        s_min_sq = float(geo.entries.diagonal().min())
+        assert (not row) == (exact < s_min_sq * (1.0 - 1e-12))
+        seen[hypothesis, row] += 1
+    assert all(seen.values()), seen
