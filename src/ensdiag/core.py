@@ -2,14 +2,17 @@
 
 A model's score is its time-averaged squared departure from the
 observations, and the correspondence between two models is the matching
-time-averaged product of their residuals.  Everything downstream reduces
-to dot products of residual vectors, so this module keeps residuals as
-plain float64 arrays and exposes pure functions over them.
+time-averaged product of their residuals.  Every score, of a member, of
+the weighted average or of a window, is one mean-square reduction
+(``_mean_square``, no BLAS), so the average with all weight on one member
+scores exactly as that member does, whatever the BLAS thread count.
+Residuals are plain C-ordered float64 arrays and the functions are pure.
 
-Those dot products form one Gram matrix.  ``geometry_of`` forms and
-validates it once per top-level call, with the scores, norms, best member
-and cosines read off it; the functions that take a residual set also take
-that geometry, so the checks of one call share it.
+The other dot products form one Gram matrix.  ``geometry_of`` forms and
+validates it once per top-level call, with the scores, norms, best member,
+perfect (all-zero) members and cosines read off it; the functions that
+take a residual set also take that geometry, so the checks of one call
+share it.
 """
 
 from __future__ import annotations
@@ -147,14 +150,15 @@ class ResidualSet:
     """Model-minus-observation vectors plus the normalization divisor.
 
     ``n_points`` is the number of aligned time points and is the divisor
-    used by every score in this package.
+    used by every score in this package.  The residuals are stored
+    C-ordered, so each member's row is contiguous.
     """
 
     residuals: np.ndarray
     n_points: int
 
     def __post_init__(self) -> None:
-        arr = np.array(self.residuals, dtype=np.float64, copy=True)
+        arr = np.array(self.residuals, dtype=np.float64, copy=True, order="C")
         if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
             raise ValidationError("residuals must have shape (n_models, n_points)")
         _require_finite(arr, "residuals")
@@ -235,9 +239,24 @@ def residuals(ensemble: ModelEnsemble, obs: ObservationSeries) -> ResidualSet:
     return ResidualSet(ensemble.outputs - obs.values, obs.n_points)
 
 
+_BLOCK = 4096  # see _mean_square
+
+
+def _mean_square(z: np.ndarray) -> np.ndarray | float:
+    """Mean of ``z * z`` over the last axis, which must be contiguous: every
+    score.  No BLAS takes part, and a row gives the same bits whatever the
+    leading axes: einsum does so only for rows within its 8,192-element
+    buffer, so longer rows are summed in blocks of _BLOCK, in order."""
+    total = 0.0
+    for start in range(0, z.shape[-1], _BLOCK):
+        block = z[..., start : start + _BLOCK]
+        total = total + np.einsum("...t,...t->...", block, block)
+    return total / z.shape[-1]
+
+
 def model_score(z, n_points: int) -> float:
     """Mean-squared departure of one residual vector: ``||z||^2 / n_points``."""
-    arr = np.asarray(z, dtype=np.float64)
+    arr = np.ascontiguousarray(z, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError("residual vector must be non-empty and 1-d")
     _require_finite(arr, "residual vector")
@@ -246,24 +265,26 @@ def model_score(z, n_points: int) -> float:
         raise ValidationError(
             f"n_points ({n_points}) must equal the residual length ({arr.size})"
         )
-    return float(arr @ arr) / n
+    return float(_mean_square(arr))
 
 
 def model_scores(rs: ResidualSet) -> np.ndarray:
     """Per-model scores for a whole residual set, as a 1-d array."""
-    z = rs.residuals
-    return np.einsum("mt,mt->m", z, z) / rs.n_points
+    return _mean_square(rs.residuals)
 
 
 def _correspondence_entries(rs: ResidualSet) -> tuple[np.ndarray, np.ndarray]:
     """Raw symmetric correspondence array and the per-model scores its
-    diagonal was checked against; ValidationError if it overflows."""
+    diagonal was checked against; ValidationError if it overflows, or if a
+    nonzero residual row scores 0, its squares underflowing."""
     z = rs.residuals
     with np.errstate(over="ignore", invalid="ignore"):
         raw = (z @ z.T) / rs.n_points
         entries = 0.5 * (raw + raw.T)
         scores = model_scores(rs)
     _require_finite(entries, "correspondence entries")
+    if np.any(((scores == 0.0) | (entries.diagonal() == 0.0)) & z.any(axis=1)):
+        raise ValidationError("residuals too small: a nonzero residual row scores 0")
     if not np.allclose(entries.diagonal(), scores, rtol=1e-12, atol=0.0):
         raise EnsdiagError(
             "internal inconsistency: correspondence diagonal departs from "
@@ -277,8 +298,9 @@ class ResidualGeometry:
     """Internal: the Gram geometry of one residual set, formed once per call.
 
     ``norms`` are the roots of the ``entries`` diagonal, ``best`` the lowest
-    index with the least direct score; ``cosines`` and the thresholds
-    ``S_min^2 / (S_m S_m')`` of Results 2 and 3 are None when a member is perfect.
+    index with the least direct score, ``perfect`` the members whose residual
+    row is all zero; ``cosines`` and the thresholds ``S_min^2 / (S_m S_m')``
+    of Results 2 and 3 are None when a member is perfect.
     """
 
     residuals: np.ndarray
@@ -288,6 +310,7 @@ class ResidualGeometry:
     norms: np.ndarray
     best: int
     s_min_sq: float
+    perfect: tuple[int, ...]
     cosines: np.ndarray | None
     thresholds: np.ndarray | None
 
@@ -316,8 +339,9 @@ def geometry_of(rs: ResidualSet | ResidualGeometry) -> ResidualGeometry:
     norms = np.sqrt(entries.diagonal())
     best = int(np.argmin(scores))
     s_min_sq = float(scores[best])
+    perfect = tuple(np.flatnonzero(scores == 0.0).tolist())  # the all-zero rows
     cosines = thresholds = None
-    if np.all(norms > 0.0):
+    if not perfect:
         cosines = entries / np.outer(norms, norms)
         overshoot = float(np.abs(cosines).max()) - 1.0
         if overshoot > COSINE_OVERSHOOT_TOL:
@@ -334,7 +358,7 @@ def geometry_of(rs: ResidualSet | ResidualGeometry) -> ResidualGeometry:
             arr.setflags(write=False)
     return ResidualGeometry(
         rs.residuals, rs.n_points, entries, scores, norms, best, s_min_sq,
-        cosines, thresholds,
+        perfect, cosines, thresholds,
     )
 
 
@@ -353,7 +377,7 @@ def cosine_matrix(rs: ResidualSet | ResidualGeometry) -> np.ndarray:
     """
     geo = geometry_of(rs)
     if geo.cosines is None:
-        raise PerfectModelError(np.flatnonzero(geo.norms == 0.0))
+        raise PerfectModelError(geo.perfect)
     return geo.cosines
 
 
@@ -366,7 +390,7 @@ def _check_weight_length(rs: ResidualSet, w: WeightVector) -> np.ndarray:
     return w.weights
 
 
-def average_residual(rs: ResidualSet, w: WeightVector) -> np.ndarray:
+def average_residual(rs: ResidualSet | ResidualGeometry, w: WeightVector) -> np.ndarray:
     """Residual of the weighted-average model.
 
     Because the weights sum to one, averaging the residuals equals
@@ -379,27 +403,17 @@ def average_residual(rs: ResidualSet, w: WeightVector) -> np.ndarray:
 def ensemble_score(rs: ResidualSet | ResidualGeometry, w: WeightVector) -> float:
     """Score of the weighted-average model.
 
-    Computed directly from the averaged residual, and cross-checked
-    against the quadratic expansion in per-model scores and pairwise
-    correspondences.  The two must agree to SCORE_AGREEMENT_RTOL
-    (relative to the size of the expansion's terms, so that exact
-    cancellations near zero do not trip the check); the direct value is
-    returned.
+    Computed directly from the averaged residual and cross-checked against
+    its expansion ``w @ R @ w`` in the correspondence matrix, to
+    SCORE_AGREEMENT_RTOL relative to ``w @ |R| @ w``, the size of the
+    expansion's terms, so that exact cancellations near zero do not trip
+    the check; the direct value is returned.
     """
     weights = _check_weight_length(rs, w)
     geo = geometry_of(rs)
-    zbar = weights @ geo.residuals
-    direct = float(zbar @ zbar) / geo.n_points
-
-    entries = geo.entries
-    scores = entries.diagonal().copy()
-    off = entries.copy()
-    np.fill_diagonal(off, 0.0)
-    diag_term = float((weights * weights) @ scores)
-    cross_term = float(weights @ off @ weights)
-    expansion = diag_term + cross_term
-
-    scale = diag_term + float(weights @ np.abs(off) @ weights)
+    direct = float(_mean_square(average_residual(geo, w)))
+    expansion = float(weights @ geo.entries @ weights)
+    scale = float(weights @ np.abs(geo.entries) @ weights)
     bound = SCORE_AGREEMENT_RTOL * max(abs(direct), abs(expansion), scale)
     if abs(direct - expansion) > bound:
         raise EnsdiagError(

@@ -186,7 +186,7 @@ def schwartz_bounds(rs: ResidualSet | ResidualGeometry, w: WeightVector) -> Scor
             f"internal inconsistency: ensemble score {actual!r} exceeds its "
             f"upper bound {upper!r}"
         )
-    live = np.flatnonzero(geo.norms > 0.0)
+    live = np.delete(np.arange(geo.n_models), geo.perfect)
     norms = geo.norms[live]
     cosines = geo.entries[np.ix_(live, live)] / np.outer(norms, norms)
     upper_tight = not np.triu(cosines < 1.0 - TIGHT_COSINE_TOL, k=1).any()

@@ -5,8 +5,9 @@ next.  ``split_interval`` partitions the data so weights can be fitted
 on one part and judged on the other, and ``sweep_best_model`` walks a
 window across the interval reporting the best member and whether the
 average wins in each position.  The sweep forms no per-window geometry:
-it reduces every window at once, and forms the residual geometry once, on
-the full interval, for the direct-against-expansion cross-check of the
+it scores every window of the members and of the averaged residual at once
+with the one mean-square reduction, and forms the residual geometry once,
+on the full interval, for the direct-against-expansion cross-check of the
 ensemble score.
 """
 
@@ -21,6 +22,8 @@ from .core import (
     ModelEnsemble,
     ObservationSeries,
     WeightVector,
+    _mean_square,
+    average_residual,
     ensemble_score,
     model_scores,  # unused here; perfbench/worker.py traces it by name
     residuals,
@@ -120,12 +123,11 @@ def sweep_best_model(
     if stride < 1:
         raise ValidationError("stride must be at least 1")
     ensemble_score(full, w)  # its cross-checks, once for the whole interval
-    # The reductions of model_scores and of the direct ensemble score over all
-    # windows at once; differenced cumulative sums would cancel on long series.
+    # Every window at once; differenced cumulative sums would cancel on long series.
     z = sliding_window_view(full.residuals, window, axis=-1)[:, ::stride]
-    zbar = sliding_window_view(w.weights @ full.residuals, window)[::stride]
-    scores = np.einsum("mst,mst->ms", z, z) / window
-    s_sq = (zbar[:, None, :] @ zbar[:, :, None])[:, 0, 0] / window
+    zbar = sliding_window_view(average_residual(full, w), window)[::stride]
+    scores = _mean_square(z)
+    s_sq = _mean_square(zbar)
     best = np.argmin(scores, axis=0)  # ties resolve to the lowest index
     s_min_sq = scores[best, np.arange(best.size)]
     starts = obs.times[: obs.n_points - window + 1 : stride].tolist()

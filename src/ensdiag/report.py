@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -98,7 +98,7 @@ class DiagnosticsReport:
 
 
 def _matrix_rows(matrix: np.ndarray) -> tuple[tuple[float, ...], ...]:
-    return tuple(tuple(float(x) for x in row) for row in matrix)
+    return tuple(map(tuple, matrix.tolist()))
 
 
 def build_report(
@@ -117,19 +117,18 @@ def build_report(
     The residual geometry is formed once and every check reads it.
     """
     geo = geometry_of(residuals(ens, obs))
-    perfect = tuple(int(i) for i in np.flatnonzero(geo.scores == 0.0))
     m = ens.n_models
-    angles_defined = m >= 2 and not perfect
+    angles_defined = m >= 2 and not geo.perfect
     return DiagnosticsReport(
         interval_start=int(obs.times[0]),
         interval_end=int(obs.times[-1]),
         n_points=obs.n_points,
         model_names=ens.model_names,
-        weights_used=tuple(float(x) for x in weights.weights),
-        per_model_scores=tuple(float(s) for s in geo.scores),
+        weights_used=tuple(weights.weights.tolist()),
+        per_model_scores=tuple(geo.scores.tolist()),
         correspondence=_matrix_rows(correspondence_matrix(geo).entries),
-        cosines=None if perfect else _matrix_rows(cosine_matrix(geo)),
-        perfect_models=perfect,
+        cosines=None if geo.perfect else _matrix_rows(cosine_matrix(geo)),
+        perfect_models=geo.perfect,
         ensemble_score=ensemble_score(geo, weights),
         best_index=geo.best,
         best_name=ens.model_names[geo.best],
@@ -192,17 +191,11 @@ def render_json(payload: dict) -> str:
     return _render(payload) + "\n"
 
 
-def _verdict_dict(verdict: ResultVerdict | None) -> dict | None:
-    if verdict is None:
+def _fields(record) -> dict | None:
+    """A report record's fields, in declaration order, as JSON keys."""
+    if record is None:
         return None
-    return {
-        "hypothesis_holds": verdict.hypothesis_holds,
-        "conclusion_holds": verdict.conclusion_holds,
-        "witnesses": [list(pair) for pair in verdict.witnesses],
-        "s_min_sq": verdict.s_min_sq,
-        "s_sq": verdict.s_sq,
-        "best_model_index": verdict.best_model_index,
-    }
+    return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
 def report_to_dict(report: DiagnosticsReport) -> dict:
@@ -214,37 +207,24 @@ def report_to_dict(report: DiagnosticsReport) -> dict:
             "end": report.interval_end,
             "n_points": report.n_points,
         },
-        "model_names": list(report.model_names),
-        "weights_used": list(report.weights_used),
-        "per_model_scores": list(report.per_model_scores),
-        "correspondence": [list(row) for row in report.correspondence],
-        "cosines": None
-        if report.cosines is None
-        else [list(row) for row in report.cosines],
-        "perfect_models": list(report.perfect_models),
+        "model_names": report.model_names,
+        "weights_used": report.weights_used,
+        "per_model_scores": report.per_model_scores,
+        "correspondence": report.correspondence,
+        "cosines": report.cosines,
+        "perfect_models": report.perfect_models,
         "ensemble_score": report.ensemble_score,
         "best": {
             "index": report.best_index,
             "name": report.best_name,
             "s_min_sq": report.s_min_sq,
         },
-        "result1": _verdict_dict(report.result1),
-        "result2": _verdict_dict(report.result2),
-        "result3": _verdict_dict(report.result3),
-        "bounds": {
-            "lower": report.bounds.lower,
-            "upper": report.bounds.upper,
-            "actual": report.bounds.actual,
-            "upper_tight": report.bounds.upper_tight,
-        },
+        "result1": _fields(report.result1),
+        "result2": _fields(report.result2),
+        "result3": _fields(report.result3),
+        "bounds": _fields(report.bounds),
         "regime": None if report.regime is None else report.regime.value,
-        "settings": {
-            "tol_equal": report.settings.tol_equal,
-            "tol_cos": report.settings.tol_cos,
-            "weights_mode": report.settings.weights_mode,
-            "opt_max_iter": report.settings.opt_max_iter,
-            "opt_tol": report.settings.opt_tol,
-        },
+        "settings": _fields(report.settings),
     }
 
 

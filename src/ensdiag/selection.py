@@ -12,6 +12,7 @@ from .core import (
     ObservationSeries,
     ResidualSet,
     _correspondence_entries,  # unused here; perfbench/worker.py traces it by name
+    _mean_square,
     geometry_of,
     model_scores,
 )
@@ -53,8 +54,7 @@ def _observation_mean_square(rs: ResidualSet, obs: ObservationSeries) -> float:
             f"observations have {obs.n_points} points but residuals have "
             f"{rs.n_points}"
         )
-    y = obs.values
-    mean_square = float(y @ y) / obs.n_points
+    mean_square = float(_mean_square(obs.values))
     if mean_square == 0.0:
         raise ZeroNormError(
             "all observations are zero; screening ratios are undefined"

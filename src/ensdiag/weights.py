@@ -192,7 +192,7 @@ def optimal_weights(
     floor = m * float(np.finfo(np.float64).eps) * float(np.abs(gram).max())
 
     vertex = int(np.argmin(diag))
-    if diag[vertex] == 0.0 or geo.best_vertex_is_optimal():
+    if geo.best_vertex_is_optimal():
         w, iterations = _indicator(m, vertex), 0
         score = float(geo.scores[vertex])
     else:

@@ -2,9 +2,16 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import ensdiag
+from ensdiag import ModelEnsemble, ObservationSeries, format_ensemble_csv
 from ensdiag.cli import run_command
 
 FIXTURE = "t,Y,alpha,beta,gamma\n" + "".join(
@@ -256,3 +263,71 @@ def test_optimizer_is_silent_on_huge_finite_entries(tmp_path, argv):
     code, out, err = _run([argv[0], "--input", str(path), *argv[1:]])
     assert (code, err) == (0, "")
     assert json.loads(out)
+
+
+def _tiny(e):
+    """Residuals near 10**-e, in two models over three points."""
+    return f"t,Y,a,b\n0,0.0,1e-{e},-2e-{e}\n1,0.0,3e-{e},1e-{e}\n2,0.0,-1e-{e},2e-{e}\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diagnose"],
+        ["optimize"],
+        ["select", "--mode", "anticorr", "--k", "2"],
+        ["sweep", "--window", "2", "--stride", "1"],
+    ],
+)
+def test_underflowing_residuals_are_one_line_data_errors(tmp_path, argv):
+    """Squares near 1e-340 round to 0, but no member is perfect; squares
+    near 1e-310 are subnormal and still score."""
+    path = tmp_path / "tiny.csv"
+    path.write_text(_tiny(170), encoding="utf-8")
+    code, out, err = _run([argv[0], "--input", str(path), *argv[1:]])
+    assert (code, out) == (1, "")
+    assert err == "error: residuals too small: a nonzero residual row scores 0\n"
+    path.write_text(_tiny(155), encoding="utf-8")
+    code, out, err = _run([argv[0], "--input", str(path), *argv[1:]])
+    assert (code, err) == (0, "")
+    assert json.loads(out)
+
+
+def _csv(y, outputs):
+    obs = ObservationSeries(np.arange(y.size), y)
+    return format_ensemble_csv(obs, ModelEnsemble(("a", "b", "c")[: len(outputs)], outputs))
+
+
+def test_vertex_optimal_average_scores_exactly_as_its_member(tmp_path):
+    """Member b's residual is 1.5 times member a's plus noise, so the optimal
+    weights put everything on a, and the average must not beat a."""
+    rng = np.random.default_rng(2)
+    y, e = rng.normal(size=40), rng.normal(size=40)
+    path = tmp_path / "vertex.csv"
+    path.write_text(_csv(y, [y + e, y + 1.5 * e + 0.1 * rng.normal(size=40)]), encoding="utf-8")
+    code, out, err = _run(["diagnose", "--input", str(path), "--weights", "optimal"])
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["weights_used"] == [1.0, 0.0]
+    assert data["ensemble_score"] == data["best"]["s_min_sq"]
+    assert data["result3"]["hypothesis_holds"] is False
+
+
+def test_stdout_does_not_depend_on_blas_threads(tmp_path):
+    """OpenBLAS threads a dot product of more than 10,000 elements."""
+    rng = np.random.default_rng(43)
+    y = rng.normal(size=20_000)
+    path = tmp_path / "long.csv"
+    path.write_text(_csv(y, y + rng.normal(size=(3, y.size))), encoding="utf-8")
+    src = str(Path(ensdiag.__file__).resolve().parents[1])
+    for argv in (["diagnose"], ["sweep", "--window", "15000", "--stride", "2500"]):
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run(
+                [sys.executable, "-m", "ensdiag.cli", argv[0], "--input", str(path), *argv[1:]],
+                env=env, capture_output=True, check=True,
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1], argv

@@ -15,6 +15,7 @@ from ensdiag import (
     ValidationError,
     WeightVector,
     average_residual,
+    check_result3,
     correspondence_matrix,
     cosine_matrix,
     ensemble_score,
@@ -294,6 +295,25 @@ def test_ensemble_score_indicator_equals_member_score():
         assert ensemble_score(rs, WeightVector(w)) == pytest.approx(
             scores[m], rel=1e-12
         )
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_member_score_identity_is_exact(order):
+    """All weight on member b scores exactly b's score, whatever the layout the
+    residuals arrive in, also past 8,192 points, so the average that is the
+    best member never beats it."""
+    rng = np.random.default_rng(37)
+    for t_range in [(1, 64)] * 40 + [(8_000, 13_000)] * 4:
+        m = int(rng.integers(2, 9))
+        t = int(rng.integers(*t_range))
+        z = np.asarray(rng.uniform(-10.0, 10.0, size=(m, t)), order=order)
+        rs = ResidualSet(z, t)
+        scores = model_scores(rs)
+        for b in range(m):
+            e_b = WeightVector(np.eye(m)[b])
+            assert ensemble_score(rs, e_b) == scores[b] == model_score(z[b], t)
+        e_best = WeightVector(np.eye(m)[int(np.argmin(scores))])
+        assert not check_result3(rs, e_best).hypothesis_holds
 
 
 @settings(max_examples=200, deadline=None)
