@@ -8,16 +8,15 @@ the weighted average or of a window, is one mean-square reduction
 scores exactly as that member does, whatever the BLAS thread count.
 Residuals are plain C-ordered float64 arrays and the functions are pure.
 
-The other dot products form one Gram matrix.  ``geometry_of`` forms and
-validates it once per top-level call, with the scores, norms, best member,
-perfect (all-zero) members and cosines read off it; the functions that
-take a residual set also take that geometry, so the checks of one call
-share it.
+The other dot products form one Gram matrix.  A ``ResidualSet`` forms and
+validates it once, when it is constructed, with the scores, norms, best
+member, perfect (all-zero) members and cosines read off it; every function
+that takes the set reads that one geometry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -147,15 +146,34 @@ class ModelEnsemble:
 
 @dataclass(frozen=True, eq=False)
 class ResidualSet:
-    """Model-minus-observation vectors plus the normalization divisor.
+    """Model-minus-observation vectors, the normalization divisor, and
+    their Gram geometry.
 
     ``n_points`` is the number of aligned time points and is the divisor
     used by every score in this package.  The residuals are stored
     C-ordered, so each member's row is contiguous.
+
+    Construction validates the residuals and forms their geometry once,
+    as read-only attributes: ``entries``, the correspondence matrix;
+    ``scores``, the direct per-model scores, which are also its diagonal;
+    ``norms``, their roots; ``best``, the lowest index with the least score,
+    and ``s_min_sq``, that score; ``perfect``, the members whose residual
+    row is all zero; ``cosines`` and ``thresholds``, the cosine matrix and
+    the ``S_min^2 / (S_m S_m')`` of Results 2 and 3, both None when a
+    member is perfect.  Residuals whose correspondences overflow, or whose
+    nonzero rows score 0, raise ValidationError.
     """
 
     residuals: np.ndarray
     n_points: int
+    entries: np.ndarray = field(init=False, repr=False)
+    scores: np.ndarray = field(init=False, repr=False)
+    norms: np.ndarray = field(init=False, repr=False)
+    best: int = field(init=False, repr=False)
+    s_min_sq: float = field(init=False, repr=False)
+    perfect: tuple[int, ...] = field(init=False, repr=False)
+    cosines: np.ndarray | None = field(init=False, repr=False)
+    thresholds: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         arr = np.array(self.residuals, dtype=np.float64, copy=True, order="C")
@@ -171,9 +189,45 @@ class ResidualSet:
         object.__setattr__(self, "residuals", arr)
         object.__setattr__(self, "n_points", n)
 
+        entries, scores = _correspondence_entries(self)
+        norms = np.sqrt(scores)
+        best = int(np.argmin(scores))
+        s_min_sq = float(scores[best])
+        perfect = tuple(np.flatnonzero(scores == 0.0).tolist())  # the all-zero rows
+        cosines = thresholds = None
+        if not perfect:
+            cosines = entries / np.outer(norms, norms)
+            overshoot = float(np.abs(cosines).max()) - 1.0
+            if overshoot > COSINE_OVERSHOOT_TOL:
+                raise EnsdiagError(
+                    f"internal inconsistency: cosine overshoot {overshoot:.3e} "
+                    f"exceeds the rounding allowance {COSINE_OVERSHOOT_TOL}"
+                )
+            cosines = np.clip(cosines, -1.0, 1.0)
+            np.fill_diagonal(cosines, 1.0)
+            thresholds = s_min_sq / np.outer(norms, norms)
+        geometry = {
+            "entries": entries, "scores": scores, "norms": norms, "best": best,
+            "s_min_sq": s_min_sq, "perfect": perfect, "cosines": cosines,
+            "thresholds": thresholds,
+        }
+        for name, value in geometry.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
     @property
     def n_models(self) -> int:
         return int(self.residuals.shape[0])
+
+    def best_vertex_is_optimal(self) -> bool:
+        """Row test, the exact form of Result 1.
+
+        The best member ``b`` minimises ``w @ entries @ w`` over the simplex
+        iff ``entries[b, m] >= s_min_sq`` for every ``m``: the gradient
+        ``2 * entries[b]`` at the vertex has no descent direction.
+        """
+        return bool(np.all(self.entries[self.best] >= self.s_min_sq))
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,19 +323,21 @@ def model_score(z, n_points: int) -> float:
 
 
 def model_scores(rs: ResidualSet) -> np.ndarray:
-    """Per-model scores for a whole residual set, as a 1-d array."""
-    return _mean_square(rs.residuals)
+    """Per-model scores for a whole residual set: the read-only 1-d
+    ``rs.scores`` that its construction computed."""
+    return rs.scores
 
 
 def _correspondence_entries(rs: ResidualSet) -> tuple[np.ndarray, np.ndarray]:
-    """Raw symmetric correspondence array and the per-model scores its
-    diagonal was checked against; ValidationError if it overflows, or if a
-    nonzero residual row scores 0, its squares underflowing."""
+    """Symmetric correspondence array of a set under construction and the
+    direct per-model scores, which its diagonal is checked against and then
+    replaced by; ValidationError if it overflows, or if a nonzero residual
+    row scores 0, its squares underflowing."""
     z = rs.residuals
     with np.errstate(over="ignore", invalid="ignore"):
         raw = (z @ z.T) / rs.n_points
         entries = 0.5 * (raw + raw.T)
-        scores = model_scores(rs)
+        scores = _mean_square(z)
     _require_finite(entries, "correspondence entries")
     if np.any(((scores == 0.0) | (entries.diagonal() == 0.0)) & z.any(axis=1)):
         raise ValidationError("residuals too small: a nonzero residual row scores 0")
@@ -290,95 +346,26 @@ def _correspondence_entries(rs: ResidualSet) -> tuple[np.ndarray, np.ndarray]:
             "internal inconsistency: correspondence diagonal departs from "
             "the per-model scores"
         )
+    np.fill_diagonal(entries, scores)  # one score per member
     return entries, scores
 
 
-@dataclass(frozen=True, eq=False)
-class ResidualGeometry:
-    """Internal: the Gram geometry of one residual set, formed once per call.
-
-    ``norms`` are the roots of the ``entries`` diagonal, ``best`` the lowest
-    index with the least direct score, ``perfect`` the members whose residual
-    row is all zero; ``cosines`` and the thresholds ``S_min^2 / (S_m S_m')``
-    of Results 2 and 3 are None when a member is perfect.
-    """
-
-    residuals: np.ndarray
-    n_points: int
-    entries: np.ndarray
-    scores: np.ndarray
-    norms: np.ndarray
-    best: int
-    s_min_sq: float
-    perfect: tuple[int, ...]
-    cosines: np.ndarray | None
-    thresholds: np.ndarray | None
-
-    @property
-    def n_models(self) -> int:
-        return int(self.entries.shape[0])
-
-    def best_vertex_is_optimal(self) -> bool:
-        """Row test, the exact form of Result 1.
-
-        The member ``b`` with the least ``entries`` diagonal (lowest index on
-        ties) minimises ``w @ entries @ w`` over the simplex iff
-        ``entries[b, m] >= entries[b, b]`` for every ``m``: the gradient
-        ``2 * entries[b]`` at the vertex has no descent direction.
-        """
-        diag = self.entries.diagonal()
-        b = int(np.argmin(diag))
-        return bool(np.all(self.entries[b] >= diag[b]))
-
-
-def geometry_of(rs: ResidualSet | ResidualGeometry) -> ResidualGeometry:
-    """Form the geometry of a residual set; a formed one passes through."""
-    if isinstance(rs, ResidualGeometry):
-        return rs
-    entries, scores = _correspondence_entries(rs)
-    norms = np.sqrt(entries.diagonal())
-    best = int(np.argmin(scores))
-    s_min_sq = float(scores[best])
-    perfect = tuple(np.flatnonzero(scores == 0.0).tolist())  # the all-zero rows
-    cosines = thresholds = None
-    if not perfect:
-        cosines = entries / np.outer(norms, norms)
-        overshoot = float(np.abs(cosines).max()) - 1.0
-        if overshoot > COSINE_OVERSHOOT_TOL:
-            raise EnsdiagError(
-                f"internal inconsistency: cosine overshoot {overshoot:.3e} "
-                f"exceeds the rounding allowance {COSINE_OVERSHOOT_TOL}"
-            )
-        cosines = np.clip(cosines, -1.0, 1.0)
-        np.fill_diagonal(cosines, 1.0)
-        roots = np.sqrt(scores)
-        thresholds = s_min_sq / np.outer(roots, roots)
-    for arr in (entries, scores, norms, cosines, thresholds):
-        if arr is not None:
-            arr.setflags(write=False)
-    return ResidualGeometry(
-        rs.residuals, rs.n_points, entries, scores, norms, best, s_min_sq,
-        perfect, cosines, thresholds,
-    )
-
-
-def correspondence_matrix(rs: ResidualSet | ResidualGeometry) -> CorrespondenceMatrix:
+def correspondence_matrix(rs: ResidualSet) -> CorrespondenceMatrix:
     """Mutual-agreement matrix: entry (m, m') is the time-averaged product
     of the two residual vectors; the diagonal equals the per-model scores."""
-    return CorrespondenceMatrix(geometry_of(rs).entries)
+    return CorrespondenceMatrix(rs.entries)
 
 
-def cosine_matrix(rs: ResidualSet | ResidualGeometry) -> np.ndarray:
+def cosine_matrix(rs: ResidualSet) -> np.ndarray:
     """Pairwise cosines of the residual vectors, as a read-only array.
 
     The diagonal is exactly 1 and off-diagonal entries are clamped into
     [-1, 1].  Raises PerfectModelError when any member has zero residual,
     since its direction is undefined.
     """
-    geo = geometry_of(rs)
-    if geo.cosines is None:
-        raise PerfectModelError(geo.perfect)
-    return geo.cosines
+    if rs.cosines is None:
+        raise PerfectModelError(rs.perfect)
+    return rs.cosines
 
 
 def _check_weight_length(rs: ResidualSet, w: WeightVector) -> np.ndarray:
@@ -390,7 +377,7 @@ def _check_weight_length(rs: ResidualSet, w: WeightVector) -> np.ndarray:
     return w.weights
 
 
-def average_residual(rs: ResidualSet | ResidualGeometry, w: WeightVector) -> np.ndarray:
+def average_residual(rs: ResidualSet, w: WeightVector) -> np.ndarray:
     """Residual of the weighted-average model.
 
     Because the weights sum to one, averaging the residuals equals
@@ -400,7 +387,7 @@ def average_residual(rs: ResidualSet | ResidualGeometry, w: WeightVector) -> np.
     return weights @ rs.residuals
 
 
-def ensemble_score(rs: ResidualSet | ResidualGeometry, w: WeightVector) -> float:
+def ensemble_score(rs: ResidualSet, w: WeightVector) -> float:
     """Score of the weighted-average model.
 
     Computed directly from the averaged residual and cross-checked against
@@ -410,10 +397,9 @@ def ensemble_score(rs: ResidualSet | ResidualGeometry, w: WeightVector) -> float
     the check; the direct value is returned.
     """
     weights = _check_weight_length(rs, w)
-    geo = geometry_of(rs)
-    direct = float(_mean_square(average_residual(geo, w)))
-    expansion = float(weights @ geo.entries @ weights)
-    scale = float(weights @ np.abs(geo.entries) @ weights)
+    direct = float(_mean_square(average_residual(rs, w)))
+    expansion = float(weights @ rs.entries @ weights)
+    scale = float(weights @ np.abs(rs.entries) @ weights)
     bound = SCORE_AGREEMENT_RTOL * max(abs(direct), abs(expansion), scale)
     if abs(direct - expansion) > bound:
         raise EnsdiagError(

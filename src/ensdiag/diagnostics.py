@@ -8,10 +8,9 @@ the average to win.  Each verdict records its hypothesis and conclusion
 separately; the implications between them are verified by the test
 suite, never assumed here.
 
-Every check reads the residual geometry (``core.geometry_of``): given a
-residual set it forms the geometry once for that call, and given the
-geometry that ``build_report`` formed it shares it.  Each pair test is one
-mask over the upper triangle, read in row-major order.
+Every check reads the Gram geometry that the ``ResidualSet`` formed when
+it was constructed, so the checks of one set share it.  Each pair test is
+one mask over the upper triangle, read in row-major order.
 """
 
 from __future__ import annotations
@@ -22,14 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ResidualGeometry,
     ResidualSet,
     WeightVector,
     _check_weight_length,
     _correspondence_entries,  # unused here; perfbench/worker.py traces it by name
     cosine_matrix,
     ensemble_score,
-    geometry_of,
     model_scores,  # unused here; perfbench/worker.py traces it by name
 )
 from .errors import EnsdiagError, ValidationError
@@ -97,20 +94,20 @@ def _pairs_where(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple(map(tuple, np.argwhere(np.triu(mask, k=1)).tolist()))
 
 
-def _sufficient_verdict(geo, w, violations, best, s_min_sq) -> ResultVerdict:
+def _sufficient_verdict(rs, w, violations) -> ResultVerdict:
     witnesses = _pairs_where(violations)
-    s_sq = ensemble_score(geo, w)
+    s_sq = ensemble_score(rs, w)
     return ResultVerdict(
         hypothesis_holds=not witnesses,
-        conclusion_holds=s_sq > s_min_sq,
+        conclusion_holds=s_sq > rs.s_min_sq,
         witnesses=witnesses,
-        s_min_sq=s_min_sq,
+        s_min_sq=rs.s_min_sq,
         s_sq=s_sq,
-        best_model_index=best,
+        best_model_index=rs.best,
     )
 
 
-def check_result1(rs: ResidualSet | ResidualGeometry, w: WeightVector) -> ResultVerdict:
+def check_result1(rs: ResidualSet, w: WeightVector) -> ResultVerdict:
     """Sufficient condition, correspondence form.
 
     Hypothesis: every off-diagonal correspondence strictly exceeds the
@@ -120,16 +117,10 @@ def check_result1(rs: ResidualSet | ResidualGeometry, w: WeightVector) -> Result
     """
     _require_two_models(rs)
     _check_weight_length(rs, w)
-    geo = geometry_of(rs)
-    # This form reads the best score off the correspondence diagonal, which
-    # may differ from the direct scores in the last bit.
-    diag = geo.entries.diagonal()
-    best = int(np.argmin(diag))  # ties resolve to the lowest index
-    s_min_sq = float(diag[best])
-    return _sufficient_verdict(geo, w, ~(geo.entries > s_min_sq), best, s_min_sq)
+    return _sufficient_verdict(rs, w, ~(rs.entries > rs.s_min_sq))
 
 
-def check_result2(rs: ResidualSet | ResidualGeometry, w: WeightVector) -> ResultVerdict:
+def check_result2(rs: ResidualSet, w: WeightVector) -> ResultVerdict:
     """Sufficient condition, cosine form.
 
     Algebraically the same test as ``check_result1`` (divide both sides
@@ -139,12 +130,11 @@ def check_result2(rs: ResidualSet | ResidualGeometry, w: WeightVector) -> Result
     """
     _require_two_models(rs)
     _check_weight_length(rs, w)
-    geo = geometry_of(rs)
-    violations = ~(cosine_matrix(geo) > geo.thresholds)
-    return _sufficient_verdict(geo, w, violations, geo.best, geo.s_min_sq)
+    violations = ~(cosine_matrix(rs) > rs.thresholds)
+    return _sufficient_verdict(rs, w, violations)
 
 
-def check_result3(rs: ResidualSet | ResidualGeometry, w: WeightVector) -> ResultVerdict:
+def check_result3(rs: ResidualSet, w: WeightVector) -> ResultVerdict:
     """Necessary condition for the average to beat every member.
 
     Hypothesis: the average scores strictly better than the best member.
@@ -154,20 +144,19 @@ def check_result3(rs: ResidualSet | ResidualGeometry, w: WeightVector) -> Result
     """
     _require_two_models(rs)
     _check_weight_length(rs, w)
-    geo = geometry_of(rs)
-    witnesses = _pairs_where(cosine_matrix(geo) < geo.thresholds)
-    s_sq = ensemble_score(geo, w)
+    witnesses = _pairs_where(cosine_matrix(rs) < rs.thresholds)
+    s_sq = ensemble_score(rs, w)
     return ResultVerdict(
-        hypothesis_holds=s_sq < geo.s_min_sq,
+        hypothesis_holds=s_sq < rs.s_min_sq,
         conclusion_holds=bool(witnesses),
         witnesses=witnesses,
-        s_min_sq=geo.s_min_sq,
+        s_min_sq=rs.s_min_sq,
         s_sq=s_sq,
-        best_model_index=geo.best,
+        best_model_index=rs.best,
     )
 
 
-def schwartz_bounds(rs: ResidualSet | ResidualGeometry, w: WeightVector) -> ScoreBounds:
+def schwartz_bounds(rs: ResidualSet, w: WeightVector) -> ScoreBounds:
     """Sharp envelope for the ensemble score.
 
     The upper bound is the squared weighted sum of the per-model root
@@ -178,23 +167,22 @@ def schwartz_bounds(rs: ResidualSet | ResidualGeometry, w: WeightVector) -> Scor
     side.
     """
     weights = _check_weight_length(rs, w)
-    geo = geometry_of(rs)
-    upper = float(weights @ geo.norms) ** 2
-    actual = ensemble_score(geo, w)
+    upper = float(weights @ rs.norms) ** 2
+    actual = ensemble_score(rs, w)
     if actual > upper + 1e-10 * max(upper, actual):
         raise EnsdiagError(
             f"internal inconsistency: ensemble score {actual!r} exceeds its "
             f"upper bound {upper!r}"
         )
-    live = np.delete(np.arange(geo.n_models), geo.perfect)
-    norms = geo.norms[live]
-    cosines = geo.entries[np.ix_(live, live)] / np.outer(norms, norms)
+    live = np.delete(np.arange(rs.n_models), rs.perfect)
+    norms = rs.norms[live]
+    cosines = rs.entries[np.ix_(live, live)] / np.outer(norms, norms)
     upper_tight = not np.triu(cosines < 1.0 - TIGHT_COSINE_TOL, k=1).any()
     return ScoreBounds(lower=0.0, upper=upper, actual=actual, upper_tight=upper_tight)
 
 
 def classify_regime(
-    rs: ResidualSet | ResidualGeometry, tol_equal: float = 0.05, tol_cos: float = 0.1
+    rs: ResidualSet, tol_equal: float = 0.05, tol_cos: float = 0.1
 ) -> Regime:
     """Classify the ensemble into one of two special-case geometries.
 
@@ -208,9 +196,8 @@ def classify_regime(
     _require_two_models(rs)
     if not (0.0 < tol_equal < 1.0) or not (0.0 < tol_cos < 1.0):
         raise ValidationError("regime tolerances must lie strictly between 0 and 1")
-    geo = geometry_of(rs)
-    cosines = cosine_matrix(geo)
-    scores, best, s_min_sq = geo.scores, geo.best, geo.s_min_sq
+    cosines = cosine_matrix(rs)
+    scores, best, s_min_sq = rs.scores, rs.best, rs.s_min_sq
     pairs = np.triu(np.ones(cosines.shape, dtype=bool), k=1)
 
     equally_good = float(scores.max()) / s_min_sq - 1.0 <= tol_equal

@@ -4,11 +4,11 @@ Which member is best can change from one stretch of the interval to the
 next.  ``split_interval`` partitions the data so weights can be fitted
 on one part and judged on the other, and ``sweep_best_model`` walks a
 window across the interval reporting the best member and whether the
-average wins in each position.  The sweep forms no per-window geometry:
-it scores every window of the members and of the averaged residual at once
-with the one mean-square reduction, and forms the residual geometry once,
-on the full interval, for the direct-against-expansion cross-check of the
-ensemble score.
+average wins in each position.  The sweep builds one residual set, of the
+full interval, whose Gram geometry carries the direct-against-expansion
+cross-check of the ensemble score, and no per-window set or geometry: it
+scores every window of the members and of the averaged residual at once
+with the one mean-square reduction.
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ from .core import (
     cosine_matrix,
     correspondence_matrix,
     ensemble_score,
-    geometry_of,
     model_scores,  # unused here; perfbench/worker.py traces it by name
     residuals,
 )
@@ -114,30 +113,30 @@ def build_report(
 ) -> DiagnosticsReport:
     """Run the full diagnostic battery and collect it into one report.
 
-    The residual geometry is formed once and every check reads it.
+    The residual set is built once, and every check reads its geometry.
     """
-    geo = geometry_of(residuals(ens, obs))
+    rs = residuals(ens, obs)
     m = ens.n_models
-    angles_defined = m >= 2 and not geo.perfect
+    angles_defined = m >= 2 and not rs.perfect
     return DiagnosticsReport(
         interval_start=int(obs.times[0]),
         interval_end=int(obs.times[-1]),
         n_points=obs.n_points,
         model_names=ens.model_names,
         weights_used=tuple(weights.weights.tolist()),
-        per_model_scores=tuple(geo.scores.tolist()),
-        correspondence=_matrix_rows(correspondence_matrix(geo).entries),
-        cosines=None if geo.perfect else _matrix_rows(cosine_matrix(geo)),
-        perfect_models=geo.perfect,
-        ensemble_score=ensemble_score(geo, weights),
-        best_index=geo.best,
-        best_name=ens.model_names[geo.best],
-        s_min_sq=geo.s_min_sq,
-        result1=check_result1(geo, weights) if m >= 2 else None,
-        result2=check_result2(geo, weights) if angles_defined else None,
-        result3=check_result3(geo, weights) if angles_defined else None,
-        bounds=schwartz_bounds(geo, weights),
-        regime=classify_regime(geo, tol_equal, tol_cos) if angles_defined else None,
+        per_model_scores=tuple(rs.scores.tolist()),
+        correspondence=_matrix_rows(correspondence_matrix(rs).entries),
+        cosines=None if rs.perfect else _matrix_rows(cosine_matrix(rs)),
+        perfect_models=rs.perfect,
+        ensemble_score=ensemble_score(rs, weights),
+        best_index=rs.best,
+        best_name=ens.model_names[rs.best],
+        s_min_sq=rs.s_min_sq,
+        result1=check_result1(rs, weights) if m >= 2 else None,
+        result2=check_result2(rs, weights) if angles_defined else None,
+        result3=check_result3(rs, weights) if angles_defined else None,
+        bounds=schwartz_bounds(rs, weights),
+        regime=classify_regime(rs, tol_equal, tol_cos) if angles_defined else None,
         settings=ReportSettings(
             tol_equal=float(tol_equal),
             tol_cos=float(tol_cos),

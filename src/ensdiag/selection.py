@@ -13,7 +13,6 @@ from .core import (
     ResidualSet,
     _correspondence_entries,  # unused here; perfbench/worker.py traces it by name
     _mean_square,
-    geometry_of,
     model_scores,
 )
 from .errors import AlignmentError, ValidationError, ZeroNormError
@@ -56,6 +55,10 @@ def _observation_mean_square(rs: ResidualSet, obs: ObservationSeries) -> float:
         )
     mean_square = float(_mean_square(obs.values))
     if mean_square == 0.0:
+        if obs.values.any():
+            raise ValidationError(
+                "observations too small: their mean square underflows to 0"
+            )
         raise ZeroNormError(
             "all observations are zero; screening ratios are undefined"
         )
@@ -69,13 +72,20 @@ def prescreen(
 
     A model survives when its score divided by the observation
     mean-square is at most ``threshold``.  An infinite threshold keeps
-    everything.
+    everything.  Observations whose mean square underflows to 0, or is so
+    small that a ratio overflows, raise ValidationError.
     """
     threshold = float(threshold)
     if math.isnan(threshold) or threshold <= 0.0:
         raise ValidationError("threshold must be positive")
     mean_square = _observation_mean_square(rs, obs)
-    ratios = model_scores(rs) / mean_square
+    with np.errstate(over="ignore"):
+        ratios = model_scores(rs) / mean_square
+    if not np.all(np.isfinite(ratios)):
+        raise ValidationError(
+            "screening ratios overflow: the observations are too small for "
+            "the model scores"
+        )
     kept = tuple(int(i) for i in np.flatnonzero(ratios <= threshold))
     dropped = tuple(int(i) for i in np.flatnonzero(ratios > threshold))
     return SelectionReport(
@@ -161,7 +171,7 @@ def anti_correlated_subset(
         raise ValidationError(f"k must lie in [2, {m}]; got {k}")
     if method not in ("auto", "exhaustive", "greedy"):
         raise ValidationError("method must be 'auto', 'exhaustive', or 'greedy'")
-    entries = geometry_of(rs).entries
+    entries = rs.entries
     # every partial sum of the search is bounded by k^2 max|R|
     if not math.isfinite(k * k * float(np.abs(entries).max())):
         raise ValidationError(f"correspondence entries are too large to sum over {k} models")

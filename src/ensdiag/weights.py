@@ -20,7 +20,6 @@ from .core import (
     WeightVector,
     _correspondence_entries,  # unused here; perfbench/worker.py traces it by name
     ensemble_score,
-    geometry_of,
 )
 from .errors import ValidationError
 
@@ -183,24 +182,20 @@ def optimal_weights(
         raise ValidationError("max_iter must be at least 1")
     if not tol > 0.0:
         raise ValidationError("tol must be positive")
-    geo = geometry_of(rs)
-    m = geo.n_models
-    diag = geo.entries.diagonal()
+    m = rs.n_models
     # a power of two, so that dividing by it is exact
-    scale = math.ldexp(1.0, math.frexp(float(diag.max()))[1] - 1)
-    gram = geo.entries / scale
+    scale = math.ldexp(1.0, math.frexp(float(rs.scores.max()))[1] - 1)
+    gram = rs.entries / scale
     floor = m * float(np.finfo(np.float64).eps) * float(np.abs(gram).max())
 
-    vertex = int(np.argmin(diag))
-    if geo.best_vertex_is_optimal():
-        w, iterations = _indicator(m, vertex), 0
-        score = float(geo.scores[vertex])
+    if rs.best_vertex_is_optimal():
+        w, iterations, score = _indicator(m, rs.best), 0, rs.s_min_sq
     else:
         w, iterations = _active_set(gram, floor, int(max_iter), tol)
         w /= w.sum()
-        score = ensemble_score(geo, WeightVector(w))
-        if geo.s_min_sq < score:
-            w, score = _indicator(m, geo.best), geo.s_min_sq
+        score = ensemble_score(rs, WeightVector(w))
+        if rs.s_min_sq < score:
+            w, score = _indicator(m, rs.best), rs.s_min_sq
 
     g = 2.0 * (gram @ w)
     gap = max(float(g @ w - g.min()), 0.0)

@@ -294,6 +294,42 @@ def test_underflowing_residuals_are_one_line_data_errors(tmp_path, argv):
     assert json.loads(out)
 
 
+def _prescreen_csv(y, a, b):
+    """Observations ``y * (1 + t)`` and two models, over three points."""
+    return "t,Y,a,b\n" + "".join(
+        f"{t},{y * (1 + t)!r},{a(t)!r},{b(t)!r}\n" for t in range(3)
+    )
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (
+            # member a departs from observations near 1e-156 by about 1e-170
+            _prescreen_csv(1e-156, lambda t: 1e-156 * (1 + t) + 1e-170, lambda t: 1.0 + 0.1 * t),
+            "residuals too small: a nonzero residual row scores 0",
+        ),
+        (
+            _prescreen_csv(1e-170, lambda t: 0.5 + t, lambda t: 1.5 - t),
+            "observations too small: their mean square underflows to 0",
+        ),
+        (
+            _prescreen_csv(1e-156, lambda t: 1.0 + 0.1 * t, lambda t: 2e-156 * (1 + t)),
+            "screening ratios overflow: the observations are too small for the model scores",
+        ),
+    ],
+    ids=["tiny-residuals", "tiny-observations", "ratio-overflow"],
+)
+def test_prescreen_of_tiny_values_is_a_one_line_data_error(tmp_path, text, expected):
+    path = tmp_path / "tiny.csv"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = _run(
+        ["select", "--input", str(path), "--mode", "prescreen", "--threshold", "0.5"]
+    )
+    assert (code, out, err) == (1, "", f"error: {expected}\n")
+
+
 def _csv(y, outputs):
     obs = ObservationSeries(np.arange(y.size), y)
     return format_ensemble_csv(obs, ModelEnsemble(("a", "b", "c")[: len(outputs)], outputs))

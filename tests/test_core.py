@@ -108,6 +108,21 @@ def test_core_arrays_are_read_only():
         rs.residuals[0, 0] = 3.0
 
 
+def test_residual_set_geometry_is_read_only_and_derived():
+    rs = ResidualSet([[1.0, 2.0], [3.0, -1.0]], 2)
+    for arr in (rs.entries, rs.scores, rs.norms, rs.cosines, rs.thresholds):
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 0.0
+    with pytest.raises(AttributeError):
+        rs.best = 1
+    with pytest.raises(TypeError):
+        ResidualSet([[1.0, 2.0]], 2, entries=np.eye(1))
+    assert model_scores(rs) is rs.scores
+    assert np.array_equal(rs.entries.diagonal(), rs.scores)
+    assert (rs.best, rs.s_min_sq, rs.perfect) == (0, 2.5, ())
+    assert "entries" not in repr(rs)
+
+
 # ---------------------------------------------------------------------------
 # residuals
 # ---------------------------------------------------------------------------

@@ -111,6 +111,24 @@ def test_result1_result2_equivalence():
         assert v1.best_model_index == v2.best_model_index
 
 
+def test_permuted_member_gives_every_verdict_one_best_member():
+    # Member 1 is member 0 shuffled in time: the two score the same up to
+    # rounding, so a best member read off anything but the one score per
+    # member can differ between the forms.
+    rng = np.random.default_rng(127)
+    for _ in range(500):
+        m, t = int(rng.integers(2, 6)), int(rng.integers(2, 40))
+        z = rng.normal(size=(m, t))
+        z[0] *= 0.5
+        z[1] = rng.permutation(z[0])
+        rs = ResidualSet(z, t)
+        w = random_weights(rng, m)
+        verdicts = (check_result1(rs, w), check_result2(rs, w), check_result3(rs, w))
+        assert {v.best_model_index for v in verdicts} == {rs.best}
+        assert {v.s_min_sq for v in verdicts} == {float(rs.scores.min())}
+        assert rs.entries[rs.best, rs.best] == rs.s_min_sq
+
+
 # ---------------------------------------------------------------------------
 # check_result3
 # ---------------------------------------------------------------------------

@@ -12,12 +12,17 @@ from ensdiag import (
     ModelEnsemble,
     ObservationSeries,
     ResidualSet,
+    anti_correlated_subset,
     build_report,
     check_result1,
     check_result2,
     check_result3,
     classify_regime,
     correspondence_matrix,
+    cosine_matrix,
+    optimal_weights,
+    prescreen,
+    residuals,
     schwartz_bounds,
     sweep_best_model,
     uniform_weights,
@@ -169,6 +174,26 @@ def test_sweep_forms_one_residual_set_and_one_gram(monkeypatch):
     rows = sweep_best_model(obs, ens, 5, 1, uniform_weights(ens.n_models))
     assert len(rows) == 36
     assert len(built) == 1 and len(calls) == 1
+
+
+def test_one_residual_set_forms_one_gram(monkeypatch):
+    rng = np.random.default_rng(463)
+    obs, ens = _ensemble(rng, 40)
+    calls = _count_gram_formations(monkeypatch)
+    rs = residuals(ens, obs)
+    assert len(calls) == 1  # at construction
+    w = uniform_weights(rs.n_models)
+    optimal_weights(rs)
+    anti_correlated_subset(rs, 2)
+    check_result1(rs, w)
+    check_result2(rs, w)
+    check_result3(rs, w)
+    schwartz_bounds(rs, w)
+    classify_regime(rs)
+    correspondence_matrix(rs)
+    cosine_matrix(rs)
+    prescreen(rs, obs, 1.0)
+    assert len(calls) == 1
 
 
 def test_perfbench_trace_points_resolve(monkeypatch):

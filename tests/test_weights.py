@@ -20,7 +20,6 @@ from ensdiag import (
     project_to_simplex,
     uniform_weights,
 )
-from ensdiag.core import geometry_of
 from helpers import (
     enumeration_minimum,
     grid_minimum,
@@ -273,7 +272,7 @@ def test_row_test_is_the_exact_form_of_result1():
     rng = np.random.default_rng(97)
     seen = {(True, True): 0, (False, True): 0, (False, False): 0}
     for rs in _row_test_population(rng):
-        geo = geometry_of(rs)
+        geo = rs
         row = geo.best_vertex_is_optimal()
         hypothesis = check_result1(geo, uniform_weights(rs.n_models)).hypothesis_holds
         assert row or not hypothesis
