@@ -132,11 +132,19 @@ def _validate_combinations(parser: argparse.ArgumentParser, args) -> None:
             parser.error("--k is required with --mode anticorr")
 
 
+def _not_utf8(kind: str, path: str, exc: UnicodeDecodeError) -> ValidationError:
+    return ValidationError(
+        f"{kind} file {path!r} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+    )
+
+
 def _read_input(path: str) -> tuple[ObservationSeries, ModelEnsemble]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read input file {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8("input", path, exc) from None
     return parse_ensemble_csv(text)
 
 
@@ -145,6 +153,8 @@ def _weights_from_file(path: str, n_models: int) -> WeightVector:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ValidationError(f"cannot read weight file {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8("weight", path, exc) from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"weight file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, list) or not all(

@@ -14,6 +14,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, fields
+from typing import NoReturn
 
 import numpy as np
 
@@ -337,6 +338,128 @@ def _parse_value(cell: str, row: int, column: int) -> float:
     return value
 
 
+#: Data rows per chunk of the converter.  A chunk that it rejects is
+#: checked again row by row, so an error costs at most this many strict rows.
+_CHUNK_ROWS = 2048
+
+#: Text holding any of these goes to ``csv.reader``, the only tokenizer
+#: that handles them: quoting, carriage-return line ends, and NUL (which
+#: ``csv.reader`` refuses before Python 3.11).
+_READER_ONLY = ('"', "\r", "\0")
+
+
+class _LineRows:
+    """Rows of CSV text without quotes, carriage returns or NUL: the
+    non-blank lines, split on commas."""
+
+    def __init__(self, text: str) -> None:
+        self.lines = [line for line in text.split("\n") if line]
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+    def row(self, index: int) -> list[str]:
+        return self.lines[index].split(",")
+
+    def cells(self, start: int, stop: int, width: int) -> list[str] | None:
+        """Rows ``[start, stop)`` as one row-major cell list, or None when
+        a row is not ``width`` cells wide or a cell holds an underscore."""
+        chunk = self.lines[start:stop]
+        commas = width - 1
+        if any(line.count(",") != commas for line in chunk):
+            return None
+        block = ",".join(chunk)
+        return None if "_" in block else block.split(",")
+
+
+class _ReaderRows:
+    """Rows of any other CSV text, tokenized by ``csv.reader``."""
+
+    def __init__(self, text: str) -> None:
+        try:
+            self.rows = [row for row in csv.reader(io.StringIO(text)) if row]
+        except csv.Error as exc:
+            raise CsvFormatError(f"malformed CSV: {exc}") from None
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def row(self, index: int) -> list[str]:
+        return self.rows[index]
+
+    def cells(self, start: int, stop: int, width: int) -> list[str] | None:
+        """As ``_LineRows.cells``."""
+        chunk = self.rows[start:stop]
+        if any(len(row) != width for row in chunk):
+            return None
+        cells = [cell for row in chunk for cell in row]
+        return None if any("_" in cell for cell in cells) else cells
+
+
+def _convert(cells: list[str], width: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Times and values of a chunk's row-major cells, or None if any cell
+    breaks a rule.  A cell that ``int`` or ``float`` accepts, in int64 or
+    finite, passes ``_parse_time`` or ``_parse_value`` with the same value
+    unless it holds an underscore, which the tokenizers screen out."""
+    try:
+        times = np.array(list(map(int, cells[::width])), dtype=np.int64)
+        del cells[::width]
+        values = np.array(list(map(float, cells)), dtype=np.float64)
+    except (ValueError, OverflowError):  # OverflowError: outside int64
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return times, values.reshape(times.size, width - 1)
+
+
+def _validate_row(row: list[str], offset: int, width: int, seen: set[int]) -> None:
+    """Raise the first error in data row ``offset``, else add its time to ``seen``."""
+    if len(row) != width:
+        raise CsvParseError(
+            offset,
+            len(row) + 1 if len(row) < width else width + 1,
+            f"expected {width} fields, got {len(row)}",
+        )
+    t = _parse_time(row[0], offset, 1)
+    if t in seen:
+        raise CsvFormatError(f"duplicate time {t} at row {offset}")
+    seen.add(t)
+    for column, cell in enumerate(row[1:], start=2):
+        _parse_value(cell, offset, column)
+
+
+def _time_order(times: np.ndarray) -> np.ndarray:
+    """Stable sorting order of the times of data rows 2, 3, ...; raise at
+    the first row whose time an earlier row already has."""
+    order = np.argsort(times, kind="stable")
+    ordered = times[order]
+    repeats = order[1:][ordered[1:] == ordered[:-1]]
+    if repeats.size:
+        first = int(repeats.min())
+        raise CsvFormatError(f"duplicate time {int(times[first])} at row {first + 2}")
+    return order
+
+
+def _reject_chunk(
+    rows: _LineRows | _ReaderRows,
+    start: int,
+    stop: int,
+    width: int,
+    earlier: list[np.ndarray],
+) -> NoReturn:
+    """Raise the error that the row-by-row rules meet first, given that
+    the converter rejected rows ``[start, stop)`` and accepted all before."""
+    times = np.concatenate(earlier) if earlier else np.empty(0, dtype=np.int64)
+    _time_order(times)
+    seen = set(times.tolist())
+    for index in range(start, stop):
+        _validate_row(rows.row(index), index + 1, width, seen)
+    raise ValidationError(
+        f"internal inconsistency: the CSV converter rejected rows {start + 1}-{stop} "
+        "that the strict rules accept"
+    )
+
+
 def parse_ensemble_csv(text: str) -> tuple[ObservationSeries, ModelEnsemble]:
     """Parse aligned observations and model outputs from CSV text.
 
@@ -344,13 +467,25 @@ def parse_ensemble_csv(text: str) -> tuple[ObservationSeries, ModelEnsemble]:
     model column, then one row per time point.  Times must be integers
     and unique; rows are sorted by time on ingest.  Values accept
     standard decimal and scientific notation only.  Rows and columns in
-    error messages are 1-based, counting the header as row 1.
+    error messages are 1-based, counting the header as row 1 and blank
+    lines not at all.
+
+    Text that holds a quote, a carriage return or NUL is tokenized by
+    ``csv.reader``; any other text is split into its non-blank lines and
+    those on commas, which is what ``csv.reader`` would give, faster.
+    The data rows are then converted in chunks of ``_CHUNK_ROWS``: each
+    chunk's times go through ``int`` and its values through ``float``
+    at once.  A chunk with a row of the wrong width, an underscore, a
+    cell that ``int``/``float`` refuse, a time outside int64 or a
+    non-finite value is checked again row by row with the strict rules
+    (``_validate_row``), which raise the same error, at the same row and
+    column, as checking every row in turn would.  Repeated times are
+    found over all chunks at once.
     """
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [row for row in rows if row]  # ignore blank lines
-    if not rows:
+    rows = _ReaderRows(text) if any(c in text for c in _READER_ONLY) else _LineRows(text)
+    if not len(rows):
         raise CsvFormatError("input is empty")
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip() for cell in rows.row(0)]
     if len(header) < 3:
         raise CsvFormatError(
             "expected at least 3 columns (t, Y, and one model column); "
@@ -364,32 +499,23 @@ def parse_ensemble_csv(text: str) -> tuple[ObservationSeries, ModelEnsemble]:
     if len(rows) < 2:
         raise CsvFormatError("no data rows")
 
-    records: list[tuple[int, float, list[float]]] = []
-    seen_times: set[int] = set()
-    for offset, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise CsvParseError(
-                offset,
-                len(row) + 1 if len(row) < len(header) else len(header) + 1,
-                f"expected {len(header)} fields, got {len(row)}",
-            )
-        t = _parse_time(row[0], offset, 1)
-        if t in seen_times:
-            raise CsvFormatError(f"duplicate time {t} at row {offset}")
-        seen_times.add(t)
-        y = _parse_value(row[1], offset, 2)
-        outputs = [
-            _parse_value(cell, offset, column)
-            for column, cell in enumerate(row[2:], start=3)
-        ]
-        records.append((t, y, outputs))
+    width = len(header)
+    time_chunks: list[np.ndarray] = []
+    value_chunks: list[np.ndarray] = []
+    for start in range(1, len(rows), _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, len(rows))
+        cells = rows.cells(start, stop, width)
+        converted = None if cells is None else _convert(cells, width)
+        if converted is None:
+            _reject_chunk(rows, start, stop, width, time_chunks)
+        time_chunks.append(converted[0])
+        value_chunks.append(converted[1])
 
-    records.sort(key=lambda record: record[0])
-    times = np.array([record[0] for record in records], dtype=np.int64)
-    values = np.array([record[1] for record in records])
-    outputs = np.array([record[2] for record in records]).T
-    obs = ObservationSeries(times, values)
-    ens = ModelEnsemble(tuple(names), outputs)
+    times = np.concatenate(time_chunks)
+    order = _time_order(times)
+    values = np.concatenate(value_chunks)[order]
+    obs = ObservationSeries(times[order], values[:, 0])
+    ens = ModelEnsemble(tuple(names), values[:, 1:].T)
     return obs, ens
 
 

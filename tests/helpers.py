@@ -5,11 +5,14 @@ correspondences are recomputed with ``math.fsum`` over Python floats,
 and the simplex minimum is found by brute-force grid search or, exactly,
 by enumerating every support.  The loop
 references at the end are the pair loops and the per-window sweep that
-the library replaced with array masks and whole-array window reductions.
+the library replaced with array masks and whole-array window reductions,
+and the row-by-row CSV parse that it replaced with chunked conversion.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from itertools import combinations
 
@@ -17,6 +20,10 @@ import numpy as np
 
 from ensdiag import (
     TIGHT_COSINE_TOL,
+    CsvFormatError,
+    CsvParseError,
+    ModelEnsemble,
+    ObservationSeries,
     Regime,
     ResidualSet,
     SweepRow,
@@ -27,6 +34,7 @@ from ensdiag import (
     model_scores,
     residuals,
 )
+from ensdiag.report import _parse_time, _parse_value
 
 
 def random_residual_set(rng, m_range=(2, 8), t_range=(2, 64), scale=10.0):
@@ -252,3 +260,59 @@ def sweep_reference(obs, ens, window: int, stride: int, w) -> list[SweepRow]:
             )
         )
     return rows
+
+
+def parse_csv_reference(text: str):
+    """CSV ingest as ``csv.reader`` and one strict check per row.
+
+    The row loop is ``parse_ensemble_csv`` before chunked conversion; a
+    ``csv.Error`` becomes the ``CsvFormatError`` the parser raises for it.
+    """
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise CsvFormatError(f"malformed CSV: {exc}") from None
+    rows = [row for row in rows if row]  # ignore blank lines
+    if not rows:
+        raise CsvFormatError("input is empty")
+    header = [cell.strip() for cell in rows[0]]
+    if len(header) < 3:
+        raise CsvFormatError(
+            "expected at least 3 columns (t, Y, and one model column); "
+            f"got {len(header)}"
+        )
+    if header[0] != "t" or header[1] != "Y":
+        raise CsvFormatError(
+            f"header must start with 't,Y'; got {','.join(header[:2])!r}"
+        )
+    names = header[2:]
+    if len(rows) < 2:
+        raise CsvFormatError("no data rows")
+
+    records: list[tuple[int, float, list[float]]] = []
+    seen_times: set[int] = set()
+    for offset, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise CsvParseError(
+                offset,
+                len(row) + 1 if len(row) < len(header) else len(header) + 1,
+                f"expected {len(header)} fields, got {len(row)}",
+            )
+        t = _parse_time(row[0], offset, 1)
+        if t in seen_times:
+            raise CsvFormatError(f"duplicate time {t} at row {offset}")
+        seen_times.add(t)
+        y = _parse_value(row[1], offset, 2)
+        outputs = [
+            _parse_value(cell, offset, column)
+            for column, cell in enumerate(row[2:], start=3)
+        ]
+        records.append((t, y, outputs))
+
+    records.sort(key=lambda record: record[0])
+    times = np.array([record[0] for record in records], dtype=np.int64)
+    values = np.array([record[1] for record in records])
+    outputs = np.array([record[2] for record in records]).T
+    obs = ObservationSeries(times, values)
+    ens = ModelEnsemble(tuple(names), outputs)
+    return obs, ens

@@ -214,6 +214,45 @@ def test_malformed_csv_is_data_error(tmp_path):
     assert "row 2" in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "csv_bytes, weight_bytes, kind, reason",
+    [
+        (b"t,Y,\xe9\n0,0,1\n1,0,1\n", None, "input", "invalid continuation byte at byte 4"),
+        (FIXTURE.encode(), b"[0.5, 0.25, 0.25]\xff", "weight", "invalid start byte at byte 17"),
+    ],
+    ids=["input", "weights"],
+)
+def test_non_utf8_files_are_one_line_data_errors(tmp_path, csv_bytes, weight_bytes, kind, reason):
+    paths = {"input": tmp_path / "in.csv", "weight": tmp_path / "w.json"}
+    paths["input"].write_bytes(csv_bytes)
+    argv = ["diagnose", "--input", str(paths["input"])]
+    if weight_bytes is not None:
+        paths["weight"].write_bytes(weight_bytes)
+        argv += ["--weights", f"@{paths['weight']}"]
+    code, out, err = _run(argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {kind} file {str(paths[kind])!r} is not UTF-8 text: {reason}\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        # csv.reader refuses fields over its 131,072-character limit
+        ('"' + "x" * 200_000 + '"', "malformed CSV: field larger than field limit"),
+        ("x" * 200_000, "row 2, column 3: invalid number 'xxx"),
+    ],
+    ids=["quoted", "unquoted"],
+)
+def test_overlong_fields_are_one_line_data_errors(tmp_path, cell, message):
+    path = tmp_path / "long-field.csv"
+    path.write_text(f"t,Y,a\n0,0,{cell}\n1,0,1\n", encoding="utf-8")
+    code, out, err = _run(["diagnose", "--input", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 #: Residuals near 1e200 overflow the correspondence entries.
 OVERFLOW = "t,Y,a,b,c\n" + "".join(
     f"{t},0.0,{(t % 3 + 1) * 1e200},{-(t % 2 + 1) * 2e200},{(t % 4) * 1.5e200}\n"

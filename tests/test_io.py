@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+import ensdiag.report
 from ensdiag import (
     CsvFormatError,
     CsvParseError,
+    EnsdiagError,
     ModelEnsemble,
     ObservationSeries,
     ValidationError,
@@ -20,6 +22,7 @@ from ensdiag import (
     render_json,
     uniform_weights,
 )
+from helpers import parse_csv_reference
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +105,166 @@ def test_csv_round_trip_is_identity():
     assert ens2.model_names == ens.model_names
     # idempotence: a second pass serializes identically
     assert format_ensemble_csv(obs2, ens2) == text
+
+
+# ---------------------------------------------------------------------------
+# chunked conversion against the row-by-row rules
+# ---------------------------------------------------------------------------
+
+#: Cells that break, or only nearly break, a format rule.
+ODD_CELLS = [
+    "", " ", "\t", "_", "1_0", "abc", "1.0e", "0x10", "--1", "1e3", "1.5",
+    "+1", " 2\t", "٣", " ٥ ", "٣.5",
+    "nan", "-inf", "Infinity", "1e999", "-1e999", "1e-400",
+    "1" * 4301, "9223372036854775807", "-9223372036854775808",
+    "9223372036854775808", "-9223372036854775809", "18446744073709551616",
+    '"3"', '"1,2"', '"', 'x"y', "\x00", "4\x00", "5\r", "\r",
+]
+
+
+def _outcome(parse, text):
+    """Arrays, layout and names of a parse, or its error's type and text."""
+    try:
+        obs, ens = parse(text)
+    except EnsdiagError as exc:
+        return type(exc), str(exc)
+    return (
+        obs.times.dtype, obs.times.tobytes(), obs.values.tobytes(),
+        ens.outputs.shape, ens.outputs.flags.f_contiguous, ens.outputs.tobytes(),
+        ens.model_names,
+    )
+
+
+def _assert_same_as_reference(text):
+    assert _outcome(parse_ensemble_csv, text) == _outcome(parse_csv_reference, text), text
+
+
+def _fuzzed_csv(rng) -> str:
+    """A small valid CSV, then up to four random breaks of the format."""
+    m = int(rng.integers(1, 4))
+    n = int(rng.integers(1, 14))
+    names = [f"gcm_{i}" if rng.random() < 0.3 else f"m{i}" for i in range(m)]
+    times = int(rng.integers(-5, 5)) + np.arange(n)
+    if rng.random() < 0.3:
+        times = rng.permutation(times)
+    rows = [["t", "Y", *names]] + [
+        [str(t), *(repr(float(x)) for x in rng.normal(0.0, 10.0, m + 1))]
+        for t in times
+    ]
+    for _ in range(int(rng.integers(0, 5))):
+        i, k = (int(x) for x in rng.integers(1, len(rows), size=2))
+        j = int(rng.integers(0, len(rows[i]) + 1))
+        kind = rng.integers(0, 6)
+        if kind == 5:
+            rows.insert(i, [])  # a blank line
+        elif not rows[i]:
+            continue
+        elif kind == 0 and j < len(rows[i]):
+            rows[i][j] = ODD_CELLS[rng.integers(len(ODD_CELLS))]
+        elif kind == 1 and rows[k]:
+            rows[i][0] = rows[k][0]
+        elif kind == 2 and j < len(rows[i]):
+            del rows[i][j]
+        elif kind == 3:
+            rows[i].insert(j, repr(float(rng.normal())))
+        elif kind == 4 and i + 1 < len(rows):
+            rows[i + 1].insert(0, rows[i].pop())  # ragged rows, count unchanged
+    lines = [",".join(row) for row in rows]
+    end = ["\n", "\r\n", "\r"][rng.choice(3, p=[0.8, 0.15, 0.05])]
+    return end.join(lines) + (end if rng.random() < 0.8 else "")
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, 5])
+def test_chunked_parse_matches_row_by_row_rules(monkeypatch, chunk_rows):
+    monkeypatch.setattr(ensdiag.report, "_CHUNK_ROWS", chunk_rows)
+    rng = np.random.default_rng(7000 + chunk_rows)
+    for _ in range(1500):
+        _assert_same_as_reference(_fuzzed_csv(rng))
+
+
+def _csv(*lines, end="\n"):
+    return end.join(lines) + end
+
+
+#: Named breaks of the format; with chunks of 3 rows, rows 2-4, 5-7, ...
+#: form one chunk each.
+CHUNK_CASES = {
+    "clean": _csv("t,Y,a,b", *(f"{t},{t},1,2" for t in range(8))),
+    "unsorted": _csv("t,Y,a", "2,0,1", "0,0,1", "1,0,1", "4,0,1", "3,0,1"),
+    "compensating ragged rows": _csv("t,Y,a,b", "0,1,2", "1,1,2,3,4", "2,1,2,3"),
+    "ragged row ending a chunk": _csv("t,Y,a", "0,1,2", "1,1,2", "2,1", "3,4,5,6"),
+    "bad cell first in chunk": _csv("t,Y,a", *(f"{t},0,1" for t in range(3)), "3,0,x", "4,0,1"),
+    "bad cell last in chunk": _csv("t,Y,a", *(f"{t},0,1" for t in range(5)), "5,0,1.0e"),
+    "bad cell in last row": _csv("t,Y,a", *(f"{t},0,1" for t in range(7)), "7,0,"),
+    "early duplicate, later bad cell": _csv(
+        "t,Y,a", "0,0,1", "1,0,1", "0,0,1", "3,0,1", "4,0,1", "5,0,1", "6,0,x"
+    ),
+    "duplicate across chunks, later bad cell": _csv(
+        "t,Y,a", "0,0,1", "1,0,1", "2,0,1", "3,0,1", "1,0,1", "5,0,x"
+    ),
+    "duplicate across chunks": _csv("t,Y,a", "0,0,1", "1,0,1", "2,0,1", "3,0,1", "2,0,1"),
+    "blank lines": "\n\nt,Y,a\n\n0,0,1\n\n\n1,0,1\n2,x,1\n",
+    "underscore in a name": _csv("t,Y,gcm_a,gcm_b", "0,0,1,2", "1,0,1,2"),
+    "underscore in the body": _csv("t,Y,a", "0,0,1", "1,1_0,1", "2,0,1"),
+    "underscore in a time": _csv("t,Y,a", "0,0,1", "1_0,0,1"),
+    "quoted name and cells": _csv('t,Y,"a,b"', '0,"1",2', '1,2,"3"'),
+    "quoted comma": _csv("t,Y,a", '0,"1,5",2'),
+    "crlf": _csv("t,Y,a", "0,0,1", "1,0,1", end="\r\n"),
+    "lone cr": "t,Y,a\n0,0,1\r1,0,1\n",
+    "nul": _csv("t,Y,a", "0,0,1", "1,0,\x001"),
+    "long time": _csv("t,Y,a", "0,0,1", "1" * 4301 + ",0,1"),
+    "unicode digits and padding": _csv(
+        "t,Y,a", "٠,+1, 2\t", "+1,٣.5, -4 ", " 2 ,1e3,٥"
+    ),
+    "nan": _csv("t,Y,a", "0,0,1", "1,nan,1"),
+    "inf": _csv("t,Y,a", "0,0,-inf", "1,0,1"),
+    "1e999": _csv("t,Y,a", "0,0,1", "1,0,1", "2,1e999,1"),
+    "int64 edge": _csv("t,Y,a", "9223372036854775806,0,1", "9223372036854775807,0,1"),
+    "time above int64": _csv("t,Y,a", "9223372036854775807,0,1", "9223372036854775808,0,1"),
+    "time below int64": _csv("t,Y,a", "-9223372036854775809,0,1"),
+}
+
+
+@pytest.mark.parametrize("text", CHUNK_CASES.values(), ids=CHUNK_CASES.keys())
+def test_chunked_parse_cases_match_row_by_row_rules(monkeypatch, text):
+    monkeypatch.setattr(ensdiag.report, "_CHUNK_ROWS", 3)
+    _assert_same_as_reference(text)
+
+
+def _counting_validator(monkeypatch):
+    calls = []
+    validate = ensdiag.report._validate_row
+
+    def counted(*args):
+        calls.append(args[1])
+        return validate(*args)
+
+    monkeypatch.setattr(ensdiag.report, "_validate_row", counted)
+    return calls
+
+
+def test_clean_csv_takes_no_strict_rows(monkeypatch):
+    calls = _counting_validator(monkeypatch)
+    n = 2 * ensdiag.report._CHUNK_ROWS + 5
+    text = _csv("t,Y,gcm_a,b", *(f"{t},{t / 3!r},-1e-3,{t}" for t in range(n)))
+    obs, _ = parse_ensemble_csv(text)
+    assert obs.n_points == n
+    assert calls == []
+
+
+def test_bad_last_row_takes_at_most_one_chunk_of_strict_rows(monkeypatch):
+    calls = _counting_validator(monkeypatch)
+    n = 2 * ensdiag.report._CHUNK_ROWS + 5
+    text = _csv("t,Y,a", *(f"{t},0,1" for t in range(n)), f"{n},0,1.0e")
+    with pytest.raises(CsvParseError, match=f"row {n + 2}, column 3"):
+        parse_ensemble_csv(text)
+    assert 0 < len(calls) <= ensdiag.report._CHUNK_ROWS
+
+
+def test_converter_and_strict_rules_disagreeing_is_an_error(monkeypatch):
+    monkeypatch.setattr(ensdiag.report, "_convert", lambda cells, width: None)
+    with pytest.raises(ValidationError, match="internal inconsistency"):
+        parse_ensemble_csv("t,Y,a\n0,0,1\n1,0,1\n")
 
 
 # ---------------------------------------------------------------------------
