@@ -205,7 +205,7 @@ def _run_diagnose(args) -> str:
             "schema_version": SCHEMA_VERSION,
             "calibration": {
                 "boundary": int(args.calibration_end),
-                "weights": [float(x) for x in result.calibration_weights.weights],
+                "weights": result.calibration_weights.weights.tolist(),
             },
             "validation_report": report_to_dict(result.validation_report),
         }
@@ -230,7 +230,7 @@ def _run_optimize(args) -> str:
     outcome = optimal_weights(residuals(ens, obs), args.opt_max_iter, args.opt_tol)
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "weights": [float(x) for x in outcome.weights.weights],
+        "weights": outcome.weights.weights.tolist(),
         "score": outcome.score,
         "iterations": outcome.iterations,
         "converged": outcome.converged,
@@ -277,7 +277,7 @@ def _run_sweep(args) -> str:
         "window": int(args.window),
         "stride": int(args.stride),
         "weights_mode": mode,
-        "weights_used": [float(x) for x in weights.weights],
+        "weights_used": weights.weights.tolist(),
         "rows": [
             {
                 "window_start": row.window_start,

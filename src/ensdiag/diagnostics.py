@@ -91,7 +91,8 @@ def _require_two_models(rs: ResidualSet) -> None:
 
 def _pairs_where(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
     """The pairs (i, j), i < j, where ``mask`` holds, in row-major order."""
-    return tuple(map(tuple, np.argwhere(np.triu(mask, k=1)).tolist()))
+    rows, cols = np.nonzero(np.triu(mask, k=1))
+    return tuple(zip(rows.tolist(), cols.tolist()))
 
 
 def _sufficient_verdict(rs, w, violations) -> ResultVerdict:

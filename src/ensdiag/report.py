@@ -4,7 +4,10 @@ Reports are emitted as canonical JSON: fixed key order, floating-point
 values rendered with 17 significant digits (which round-trips float64
 exactly), matrices as row-major arrays of arrays, and a trailing
 newline.  Two runs on the same input and settings produce byte-identical
-text.
+text.  A list or tuple of plain floats (a matrix row, a score or weight
+list) is formatted in one ``%.17g`` pass, and one of ``(int, int)``
+pairs (a witness list) in one ``%d`` pass; both give the same bytes as
+rendering each item on its own.
 """
 
 from __future__ import annotations
@@ -13,7 +16,10 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import dataclass, fields
+from functools import lru_cache
+from itertools import chain
 from typing import NoReturn
 
 import numpy as np
@@ -153,13 +159,45 @@ def build_report(
 # --------------------------------------------------------------------------
 
 
+_NON_FINITE = "reports must not contain NaN or infinite values"
+
+#: An integral cell of a bulk float row, such as ``,1,`` or ``,-0,``:
+#: ``%.17g`` drops the fraction that JSON needs to type it as a float.
+_INTEGRAL_CELL = re.compile(r",(-?\d+)(?=,)")
+
+
 def _format_float(value: float) -> str:
     if not math.isfinite(value):
-        raise ValidationError("reports must not contain NaN or infinite values")
+        raise ValidationError(_NON_FINITE)
     text = format(value, ".17g")
     if "." not in text and "e" not in text and "E" not in text:
         text += ".0"  # keep JSON floats typed as floats
     return text
+
+
+def _render_floats(values) -> str:
+    """A sequence of exact floats as one ``%.17g`` pass, the same text as
+    ``_format_float`` on each."""
+    text = ("," + "%.17g," * len(values)) % tuple(values)
+    if "n" in text:  # "inf" or "nan"
+        raise ValidationError(_NON_FINITE)
+    if text.count(".") != len(values):  # some cell has no fraction
+        text = _INTEGRAL_CELL.sub(r",\1.0", text)
+    return "[" + text[1:-1] + "]"
+
+
+def _int_pairs(values) -> tuple[int, ...] | None:
+    """The items of a sequence of ``(int, int)`` tuples, flattened, or
+    None if it is anything else."""
+    if set(map(type, values)) != {tuple} or set(map(len, values)) != {2}:
+        return None
+    flat = tuple(chain.from_iterable(values))
+    return flat if set(map(type, flat)) == {int} else None
+
+
+@lru_cache(maxsize=1024)
+def _render_key(key: str) -> str:
+    return json.dumps(key) + ":"
 
 
 def _render(value) -> str:
@@ -174,9 +212,14 @@ def _render(value) -> str:
     if isinstance(value, str):
         return json.dumps(value, ensure_ascii=False)
     if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_render(item) for item in value) + "]"
+        if set(map(type, value)) == {float}:
+            return _render_floats(value)
+        pairs = _int_pairs(value)
+        if pairs is not None:
+            return "[" + (("[%d,%d]," * len(value)) % pairs)[:-1] + "]"
+        return "[" + ",".join([_render(item) for item in value]) + "]"
     if isinstance(value, dict):
-        parts = (f"{json.dumps(str(k))}:{_render(v)}" for k, v in value.items())
+        parts = [_render_key(str(k)) + _render(v) for k, v in value.items()]
         return "{" + ",".join(parts) + "}"
     raise TypeError(f"cannot serialize {type(value).__name__} to canonical JSON")
 
@@ -308,18 +351,32 @@ def parse_report(text: str) -> DiagnosticsReport:
 # --------------------------------------------------------------------------
 
 
+#: Error messages quote at most this many characters of an offending cell.
+_QUOTE_CHARS = 40
+
+
+def _quote(cell: str) -> str:
+    """``repr`` of a cell, cut after ``_QUOTE_CHARS`` characters and then
+    followed by its length, so that one bad cell gives one short line."""
+    if len(cell) <= _QUOTE_CHARS:
+        return repr(cell)
+    return f"{cell[:_QUOTE_CHARS] + '…'!r} ({len(cell)} characters)"
+
+
 def _parse_time(cell: str, row: int, column: int) -> int:
     text = cell.strip()
     if not text:
         raise CsvParseError(row, column, "empty cell")
     if "_" in text:
-        raise CsvParseError(row, column, f"invalid integer {cell!r}")
+        raise CsvParseError(row, column, f"invalid integer {_quote(cell)}")
     try:
         value = int(text)
     except ValueError:
-        raise CsvParseError(row, column, f"invalid integer {cell!r}") from None
+        raise CsvParseError(row, column, f"invalid integer {_quote(cell)}") from None
     if not -(2**63) <= value < 2**63:
-        raise CsvParseError(row, column, f"integer {cell!r} is out of the int64 range")
+        raise CsvParseError(
+            row, column, f"integer {_quote(cell)} is out of the int64 range"
+        )
     return value
 
 
@@ -328,13 +385,13 @@ def _parse_value(cell: str, row: int, column: int) -> float:
     if not text:
         raise CsvParseError(row, column, "empty cell")
     if "_" in text:
-        raise CsvParseError(row, column, f"invalid number {cell!r}")
+        raise CsvParseError(row, column, f"invalid number {_quote(cell)}")
     try:
         value = float(text)
     except ValueError:
-        raise CsvParseError(row, column, f"invalid number {cell!r}") from None
+        raise CsvParseError(row, column, f"invalid number {_quote(cell)}") from None
     if not math.isfinite(value):
-        raise CsvParseError(row, column, f"non-finite value {cell!r}")
+        raise CsvParseError(row, column, f"non-finite value {_quote(cell)}")
     return value
 
 
@@ -464,11 +521,13 @@ def parse_ensemble_csv(text: str) -> tuple[ObservationSeries, ModelEnsemble]:
     """Parse aligned observations and model outputs from CSV text.
 
     Expected layout: a header row ``t,Y,<name>,...`` with at least one
-    model column, then one row per time point.  Times must be integers
-    and unique; rows are sorted by time on ingest.  Values accept
-    standard decimal and scientific notation only.  Rows and columns in
-    error messages are 1-based, counting the header as row 1 and blank
-    lines not at all.
+    model column, then one row per time point.  Times are what ``int()``
+    accepts, within int64, and unique; rows are sorted by time on ingest.
+    Values are what ``float()`` accepts and is finite.  Both allow
+    surrounding whitespace and non-ASCII decimal digits, and neither
+    allows ``_``.  Rows and columns in error messages are 1-based,
+    counting the header as row 1 and blank lines not at all; a cell is
+    quoted up to its first ``_QUOTE_CHARS`` characters.
 
     Text that holds a quote, a carriage return or NUL is tokenized by
     ``csv.reader``; any other text is split into its non-blank lines and

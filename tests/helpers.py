@@ -6,13 +6,16 @@ and the simplex minimum is found by brute-force grid search or, exactly,
 by enumerating every support.  The loop
 references at the end are the pair loops and the per-window sweep that
 the library replaced with array masks and whole-array window reductions,
-and the row-by-row CSV parse that it replaced with chunked conversion.
+the row-by-row CSV parse that it replaced with chunked conversion, and
+the item-by-item JSON renderer that it gave bulk paths for float rows
+and witness lists.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from itertools import combinations
 
@@ -27,6 +30,7 @@ from ensdiag import (
     Regime,
     ResidualSet,
     SweepRow,
+    ValidationError,
     WeightVector,
     correspondence_matrix,
     cosine_matrix,
@@ -316,3 +320,35 @@ def parse_csv_reference(text: str):
     obs = ObservationSeries(times, values)
     ens = ModelEnsemble(tuple(names), outputs)
     return obs, ens
+
+
+def _format_float_reference(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValidationError("reports must not contain NaN or infinite values")
+    text = format(value, ".17g")
+    if "." not in text and "e" not in text and "E" not in text:
+        text += ".0"  # keep JSON floats typed as floats
+    return text
+
+
+def render_json_reference(value) -> str:
+    """Canonical JSON as ``report._render`` before its bulk paths: one
+    ``isinstance`` chain and one ``format`` call per value, no newline."""
+    if value is None:
+        return "null"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return _format_float_reference(float(value))
+    if isinstance(value, str):
+        return json.dumps(value, ensure_ascii=False)
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(render_json_reference(item) for item in value) + "]"
+    if isinstance(value, dict):
+        parts = (
+            f"{json.dumps(str(k))}:{render_json_reference(v)}" for k, v in value.items()
+        )
+        return "{" + ",".join(parts) + "}"
+    raise TypeError(f"cannot serialize {type(value).__name__} to canonical JSON")

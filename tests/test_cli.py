@@ -13,6 +13,7 @@ import pytest
 import ensdiag
 from ensdiag import ModelEnsemble, ObservationSeries, format_ensemble_csv
 from ensdiag.cli import run_command
+from helpers import render_json_reference
 
 FIXTURE = "t,Y,alpha,beta,gamma\n" + "".join(
     f"{t},{y},{a},{b},{c}\n"
@@ -406,3 +407,44 @@ def test_stdout_does_not_depend_on_blas_threads(tmp_path):
             )
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1], argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diagnose"],
+        ["diagnose", "--weights", "optimal"],
+        ["diagnose", "--weights", "@WEIGHTS"],
+        ["diagnose", "--calibration-end", "2"],
+        ["optimize"],
+        ["select", "--mode", "prescreen", "--threshold", "2.0"],
+        ["select", "--mode", "anticorr", "--k", "2"],
+        ["sweep", "--window", "3", "--stride", "1"],
+        ["sweep", "--window", "2", "--stride", "3", "--weights", "optimal"],
+    ],
+)
+def test_stdout_is_the_item_by_item_rendering_of_itself(fixture_csv, tmp_path, argv):
+    weight_path = tmp_path / "weights.json"
+    weight_path.write_text("[0.2, 0.3, 0.5]", encoding="utf-8")
+    argv = [arg.replace("WEIGHTS", str(weight_path)) for arg in argv]
+    code, out, err = _run([argv[0], "--input", str(fixture_csv), *argv[1:]])
+    assert (code, err) == (0, "")
+    assert render_json_reference(json.loads(out)) + "\n" == out
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("0,0," + "x" * 200_000, "row 2, column 3: invalid number 'xxxx"),
+        ("1" * 200_000 + ",0,1", "row 2, column 1: invalid integer '1111"),
+        ("0,0," + "9" * 200_000, "row 2, column 3: non-finite value '9999"),
+    ],
+    ids=["value", "time", "overflow"],
+)
+def test_overlong_cell_error_is_a_short_line(tmp_path, row, message):
+    path = tmp_path / "long-cell.csv"
+    path.write_text(f"t,Y,a\n{row}\n2,0,1\n", encoding="utf-8")
+    code, out, err = _run(["diagnose", "--input", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert len(err) < 200 and err.endswith("…' (200000 characters)\n")
