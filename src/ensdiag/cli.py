@@ -10,10 +10,12 @@ from pathlib import Path
 import numpy as np
 
 from .core import ModelEnsemble, ObservationSeries, WeightVector, residuals
+from .diagnostics import DEFAULT_TOL_COS, DEFAULT_TOL_EQUAL
 from .errors import EnsdiagError, ValidationError
 from .evaluation import calibrate_then_validate, sweep_best_model
 from .report import (
     SCHEMA_VERSION,
+    _fields,
     build_report,
     emit_report,
     parse_ensemble_csv,
@@ -80,11 +82,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_weight_options(diagnose)
     _add_opt_options(diagnose)
     diagnose.add_argument(
-        "--tol-equal", type=float, default=0.05,
+        "--tol-equal", type=float, default=DEFAULT_TOL_EQUAL,
         help="relative tolerance for 'about equally good' scores",
     )
     diagnose.add_argument(
-        "--tol-cos", type=float, default=0.1,
+        "--tol-cos", type=float, default=DEFAULT_TOL_COS,
         help="cosine ceiling for 'low correspondence'",
     )
     diagnose.add_argument(
@@ -161,7 +163,10 @@ def _weights_from_file(path: str, n_models: int) -> WeightVector:
         isinstance(x, (int, float)) and not isinstance(x, bool) for x in data
     ):
         raise ValidationError(f"weight file {path!r} must hold a JSON array of numbers")
-    arr = np.asarray(data, dtype=np.float64)
+    try:
+        arr = np.asarray(data, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range is not finite either
+        arr = np.full(len(data), np.inf)
     if arr.size != n_models:
         raise ValidationError(
             f"weight file {path!r} has {arr.size} entries but the ensemble "
@@ -169,7 +174,8 @@ def _weights_from_file(path: str, n_models: int) -> WeightVector:
         )
     if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
         raise ValidationError(f"weights in {path!r} must be finite and nonnegative")
-    total = float(arr.sum())
+    with np.errstate(over="ignore"):
+        total = float(arr.sum())
     if abs(total - 1.0) > WEIGHT_FILE_SUM_TOL:
         raise ValidationError(
             f"weights in {path!r} must sum to 1 within {WEIGHT_FILE_SUM_TOL}; "
@@ -278,17 +284,7 @@ def _run_sweep(args) -> str:
         "stride": int(args.stride),
         "weights_mode": mode,
         "weights_used": weights.weights.tolist(),
-        "rows": [
-            {
-                "window_start": row.window_start,
-                "window_end": row.window_end,
-                "best_model_index": row.best_model_index,
-                "s_min_sq": row.s_min_sq,
-                "s_sq": row.s_sq,
-                "average_wins": row.average_wins,
-            }
-            for row in rows
-        ],
+        "rows": [_fields(row) for row in rows],
     }
     return render_json(payload)
 

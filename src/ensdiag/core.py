@@ -78,12 +78,16 @@ class ObservationSeries:
         if np.issubdtype(times.dtype, np.floating):
             if not np.all(np.isfinite(times)) or not np.all(times == np.trunc(times)):
                 raise ValidationError("times must be integers")
-            times = times.astype(np.int64)
+            in_range = np.all((times >= -(2.0**63)) & (times < 2.0**63))
         elif np.issubdtype(times.dtype, np.integer):
-            times = times.astype(np.int64)
+            in_range = np.all(times <= np.iinfo(np.int64).max)  # uint64 may exceed it
         else:
             raise ValidationError("times must be integers")
-        if times.size > 1 and not np.all(np.diff(times) == 1):
+        if not in_range:
+            raise ValidationError("times must lie within the int64 range")
+        times = times.astype(np.int64)
+        # a step that wraps past the int64 range also differs by 1
+        if times.size > 1 and not (np.all(np.diff(times) == 1) and times[0] < times[-1]):
             raise ValidationError("times must be consecutive increasing integers")
         values = np.array(self.values, dtype=np.float64, copy=True)
         if values.shape != times.shape:
@@ -279,17 +283,21 @@ class CorrespondenceMatrix:
         return int(self.entries.shape[0])
 
 
+def _check_aligned(ensemble: ModelEnsemble, obs: ObservationSeries) -> None:
+    if ensemble.n_points != obs.n_points:
+        raise AlignmentError(
+            f"ensemble has {ensemble.n_points} points but observations have "
+            f"{obs.n_points}"
+        )
+
+
 def residuals(ensemble: ModelEnsemble, obs: ObservationSeries) -> ResidualSet:
     """Subtract the observations from every model series.
 
     Raises AlignmentError when the ensemble and the observations do not
     have the same number of points.
     """
-    if ensemble.n_points != obs.n_points:
-        raise AlignmentError(
-            f"ensemble has {ensemble.n_points} points but observations have "
-            f"{obs.n_points}"
-        )
+    _check_aligned(ensemble, obs)
     return ResidualSet(ensemble.outputs - obs.values, obs.n_points)
 
 

@@ -47,6 +47,12 @@ __all__ = [
 #: count as attained.
 TIGHT_COSINE_TOL = 1e-9
 
+#: Default ``classify_regime`` tolerances, for every caller that passes
+#: them on: "about equally good" scores, and the "low correspondence"
+#: cosine ceiling.
+DEFAULT_TOL_EQUAL = 0.05
+DEFAULT_TOL_COS = 0.1
+
 
 @dataclass(frozen=True)
 class ResultVerdict:
@@ -183,7 +189,9 @@ def schwartz_bounds(rs: ResidualSet, w: WeightVector) -> ScoreBounds:
 
 
 def classify_regime(
-    rs: ResidualSet, tol_equal: float = 0.05, tol_cos: float = 0.1
+    rs: ResidualSet,
+    tol_equal: float = DEFAULT_TOL_EQUAL,
+    tol_cos: float = DEFAULT_TOL_COS,
 ) -> Regime:
     """Classify the ensemble into one of two special-case geometries.
 

@@ -2,6 +2,16 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "EnsdiagError",
+    "ValidationError",
+    "AlignmentError",
+    "PerfectModelError",
+    "ZeroNormError",
+    "CsvFormatError",
+    "CsvParseError",
+]
+
 
 class EnsdiagError(Exception):
     """Base class for every error raised by this package."""

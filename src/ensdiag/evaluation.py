@@ -22,13 +22,15 @@ from .core import (
     ModelEnsemble,
     ObservationSeries,
     WeightVector,
+    _check_aligned,
     _mean_square,
     average_residual,
     ensemble_score,
     model_scores,  # unused here; perfbench/worker.py traces it by name
     residuals,
 )
-from .errors import AlignmentError, ValidationError
+from .diagnostics import DEFAULT_TOL_COS, DEFAULT_TOL_EQUAL
+from .errors import ValidationError
 from .report import DiagnosticsReport, build_report
 from .weights import DEFAULT_MAX_ITER, DEFAULT_TOL, optimal_weights
 
@@ -70,21 +72,13 @@ class CalibratedValidation:
     validation_report: DiagnosticsReport
 
 
-def _check_aligned(obs: ObservationSeries, ens: ModelEnsemble) -> None:
-    if ens.n_points != obs.n_points:
-        raise AlignmentError(
-            f"ensemble has {ens.n_points} points but observations have "
-            f"{obs.n_points}"
-        )
-
-
 def split_interval(
     obs: ObservationSeries, ens: ModelEnsemble, boundary: int
 ) -> IntervalSplit:
     """Split at a time value: calibration takes every point with time at
     most ``boundary``, validation the rest.  Both parts must be non-empty,
     so ``boundary`` has to lie in ``[first time, last time - 1]``."""
-    _check_aligned(obs, ens)
+    _check_aligned(ens, obs)
     boundary = int(boundary)
     first = int(obs.times[0])
     last = int(obs.times[-1])
@@ -142,8 +136,8 @@ def calibrate_then_validate(
     *,
     opt_max_iter: int = DEFAULT_MAX_ITER,
     opt_tol: float = DEFAULT_TOL,
-    tol_equal: float = 0.05,
-    tol_cos: float = 0.1,
+    tol_equal: float = DEFAULT_TOL_EQUAL,
+    tol_cos: float = DEFAULT_TOL_COS,
 ) -> CalibratedValidation:
     """Fit score-minimizing weights on the calibration part, then report
     the full diagnostics on the validation part with those weights frozen."""

@@ -17,7 +17,7 @@ import io
 import json
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from typing import NoReturn
@@ -29,12 +29,14 @@ from .core import (
     ObservationSeries,
     WeightVector,
     cosine_matrix,
-    correspondence_matrix,
+    correspondence_matrix,  # unused here; perfbench/worker.py traces it by name
     ensemble_score,
     model_scores,  # unused here; perfbench/worker.py traces it by name
     residuals,
 )
 from .diagnostics import (
+    DEFAULT_TOL_COS,
+    DEFAULT_TOL_EQUAL,
     Regime,
     ResultVerdict,
     ScoreBounds,
@@ -112,8 +114,8 @@ def build_report(
     ens: ModelEnsemble,
     weights: WeightVector,
     *,
-    tol_equal: float = 0.05,
-    tol_cos: float = 0.1,
+    tol_equal: float = DEFAULT_TOL_EQUAL,
+    tol_cos: float = DEFAULT_TOL_COS,
     weights_mode: str = "custom",
     opt_max_iter: int | None = None,
     opt_tol: float | None = None,
@@ -132,7 +134,7 @@ def build_report(
         model_names=ens.model_names,
         weights_used=tuple(weights.weights.tolist()),
         per_model_scores=tuple(rs.scores.tolist()),
-        correspondence=_matrix_rows(correspondence_matrix(rs).entries),
+        correspondence=_matrix_rows(rs.entries),
         cosines=None if rs.perfect else _matrix_rows(cosine_matrix(rs)),
         perfect_models=rs.perfect,
         ensemble_score=ensemble_score(rs, weights),
@@ -235,10 +237,11 @@ def render_json(payload: dict) -> str:
 
 
 def _fields(record) -> dict | None:
-    """A report record's fields, in declaration order, as JSON keys."""
+    """A record's fields, in declaration order, as JSON keys: a copy of the
+    instance dict of a dataclass whose ``__init__`` sets only its fields."""
     if record is None:
         return None
-    return {f.name: getattr(record, f.name) for f in fields(record)}
+    return vars(record).copy()
 
 
 def report_to_dict(report: DiagnosticsReport) -> dict:

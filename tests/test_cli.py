@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, exit codes, determinism."""
 
+import dataclasses
 import io
 import json
 import os
@@ -185,6 +186,13 @@ def test_sweep(fixture_csv):
         assert row["average_wins"] == (row["s_sq"] < row["s_min_sq"])
 
 
+def test_sweep_rows_carry_the_sweep_row_fields_in_order(fixture_csv):
+    code, out, _ = _run(["sweep", "--input", str(fixture_csv), "--window", "3", "--stride", "2"])
+    assert code == 0
+    names = [field.name for field in dataclasses.fields(ensdiag.SweepRow)]
+    assert [list(row) for row in json.loads(out)["rows"]] == [names, names]
+
+
 def test_sweep_window_too_long_is_data_error(fixture_csv):
     code, _, err = _run(
         ["sweep", "--input", str(fixture_csv), "--window", "99", "--stride", "1"]
@@ -303,6 +311,29 @@ def test_optimizer_is_silent_on_huge_finite_entries(tmp_path, argv):
     code, out, err = _run([argv[0], "--input", str(path), *argv[1:]])
     assert (code, err) == (0, "")
     assert json.loads(out)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "command", [["diagnose"], ["sweep", "--window", "2", "--stride", "1"]], ids=["diagnose", "sweep"]
+)
+@pytest.mark.parametrize(
+    "weights, expected",
+    [
+        ("[1" + "0" * 400 + ", 0, 0]", "must be finite and nonnegative"),
+        ("[1e308, 1e308, 0]", "must sum to 1 within 1e-09; got inf"),
+    ],
+    ids=["int-beyond-float", "sum-overflows"],
+)
+def test_overflowing_weight_files_are_one_line_data_errors(
+    fixture_csv, tmp_path, command, weights, expected
+):
+    path = tmp_path / "w.json"
+    path.write_text(weights, encoding="utf-8")
+    argv = [command[0], "--input", str(fixture_csv), *command[1:], "--weights", f"@{path}"]
+    code, out, err = _run(argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: weights in {str(path)!r} {expected}\n"
 
 
 def _tiny(e):

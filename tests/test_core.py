@@ -54,6 +54,31 @@ def test_observation_series_rejects_bad_times(times):
         ObservationSeries(times, [0.0] * len(times))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "times, message",
+    [
+        ([1e19], "times must lie within the int64 range"),
+        ([2.0**63], "times must lie within the int64 range"),
+        ([-1e19], "times must lie within the int64 range"),
+        ([2**63], "times must lie within the int64 range"),  # numpy reads it as uint64
+        # np.diff wraps to 1 here
+        ([2**63 - 1, -(2**63)], "times must be consecutive increasing integers"),
+    ],
+    ids=["1e19", "2**63-float", "-1e19", "2**63-uint64", "diff-wraps"],
+)
+def test_observation_series_rejects_times_beyond_int64(times, message):
+    with pytest.raises(ValidationError, match=message):
+        ObservationSeries(times, [0.0] * len(times))
+
+
+@pytest.mark.filterwarnings("error")
+def test_observation_series_accepts_the_int64_extremes():
+    assert ObservationSeries([-(2.0**63)], [0.0]).times.tolist() == [-(2**63)]
+    top = ObservationSeries([2**63 - 2, 2**63 - 1], [0.0, 0.0])
+    assert top.times.tolist() == [2**63 - 2, 2**63 - 1]
+
+
 def test_observation_series_rejects_nonfinite_values():
     with pytest.raises(ValidationError):
         ObservationSeries([0, 1], [0.0, np.nan])
