@@ -15,7 +15,6 @@ from .errors import EnsdiagError, ValidationError
 from .evaluation import calibrate_then_validate, sweep_best_model
 from .report import (
     SCHEMA_VERSION,
-    _fields,
     build_report,
     emit_report,
     parse_ensemble_csv,
@@ -134,30 +133,28 @@ def _validate_combinations(parser: argparse.ArgumentParser, args) -> None:
             parser.error("--k is required with --mode anticorr")
 
 
-def _not_utf8(kind: str, path: str, exc: UnicodeDecodeError) -> ValidationError:
-    return ValidationError(
-        f"{kind} file {path!r} is not UTF-8 text: {exc.reason} at byte {exc.start}"
-    )
-
-
-def _read_input(path: str) -> tuple[ObservationSeries, ModelEnsemble]:
+def _read_text(kind: str, path: str) -> str:
+    """A UTF-8 file's text, without a leading byte-order mark."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ValidationError(f"cannot read input file {path!r}: {exc}") from exc
+        raise ValidationError(f"cannot read {kind} file {path!r}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise _not_utf8("input", path, exc) from None
-    return parse_ensemble_csv(text)
+        raise ValidationError(
+            f"{kind} file {path!r} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
+    return text.removeprefix("\ufeff")
+
+
+def _read_input(path: str) -> tuple[ObservationSeries, ModelEnsemble]:
+    return parse_ensemble_csv(_read_text("input", path))
 
 
 def _weights_from_file(path: str, n_models: int) -> WeightVector:
+    text = _read_text("weight", path)
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValidationError(f"cannot read weight file {path!r}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise _not_utf8("weight", path, exc) from None
-    except json.JSONDecodeError as exc:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # ValueError: also too many digits
         raise ValidationError(f"weight file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, list) or not all(
         isinstance(x, (int, float)) and not isinstance(x, bool) for x in data
@@ -284,7 +281,7 @@ def _run_sweep(args) -> str:
         "stride": int(args.stride),
         "weights_mode": mode,
         "weights_used": weights.weights.tolist(),
-        "rows": [_fields(row) for row in rows],
+        "rows": rows,
     }
     return render_json(payload)
 

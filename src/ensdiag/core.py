@@ -57,8 +57,14 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} must be finite")
 
 
-def _frozen_float_array(values, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True)
+def _frozen_float_array(values, what: str, order: str = "K") -> np.ndarray:
+    """A finite, read-only float64 copy of ``values`` in memory ``order``."""
+    try:
+        arr = np.array(values, dtype=np.float64, copy=True, order=order)
+    except (ValueError, TypeError):  # non-numeric items, or ragged rows
+        raise ValidationError(f"{what} must be a rectangular array of numbers") from None
+    except OverflowError:  # an integer beyond the float range
+        raise ValidationError(f"{what} must be finite") from None
     _require_finite(arr, what)
     arr.setflags(write=False)
     return arr
@@ -72,8 +78,11 @@ class ObservationSeries:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times)
-        if times.ndim != 1 or times.size == 0:
+        try:
+            times = np.asarray(self.times)
+        except ValueError:  # ragged rows
+            times = None
+        if times is None or times.ndim != 1 or times.size == 0:
             raise ValidationError("times must be a non-empty 1-d sequence")
         if np.issubdtype(times.dtype, np.floating):
             if not np.all(np.isfinite(times)) or not np.all(times == np.trunc(times)):
@@ -89,12 +98,10 @@ class ObservationSeries:
         # a step that wraps past the int64 range also differs by 1
         if times.size > 1 and not (np.all(np.diff(times) == 1) and times[0] < times[-1]):
             raise ValidationError("times must be consecutive increasing integers")
-        values = np.array(self.values, dtype=np.float64, copy=True)
+        values = _frozen_float_array(self.values, "observed values")
         if values.shape != times.shape:
             raise ValidationError("times and values must have the same length")
-        _require_finite(values, "observed values")
         times.setflags(write=False)
-        values.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
@@ -120,12 +127,7 @@ class ModelEnsemble:
             raise ValidationError("at least one model is required")
         if len(set(names)) != len(names):
             raise ValidationError("model names must be distinct")
-        try:
-            outputs = np.array(self.outputs, dtype=np.float64, copy=True)
-        except ValueError as exc:
-            raise ValidationError(
-                "model output series must all have the same length"
-            ) from exc
+        outputs = _frozen_float_array(self.outputs, "model outputs")
         if outputs.ndim != 2:
             raise ValidationError(
                 "outputs must have shape (n_models, n_points)"
@@ -134,8 +136,6 @@ class ModelEnsemble:
             raise ValidationError("one output series is required per model name")
         if outputs.shape[1] == 0:
             raise ValidationError("model output series must be non-empty")
-        _require_finite(outputs, "model outputs")
-        outputs.setflags(write=False)
         object.__setattr__(self, "model_names", names)
         object.__setattr__(self, "outputs", outputs)
 
@@ -180,16 +180,14 @@ class ResidualSet:
     thresholds: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        arr = np.array(self.residuals, dtype=np.float64, copy=True, order="C")
+        arr = _frozen_float_array(self.residuals, "residuals", order="C")
         if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
             raise ValidationError("residuals must have shape (n_models, n_points)")
-        _require_finite(arr, "residuals")
         n = int(self.n_points)
         if n != arr.shape[1]:
             raise ValidationError(
                 f"n_points ({n}) must equal the residual length ({arr.shape[1]})"
             )
-        arr.setflags(write=False)
         object.__setattr__(self, "residuals", arr)
         object.__setattr__(self, "n_points", n)
 
@@ -318,10 +316,9 @@ def _mean_square(z: np.ndarray) -> np.ndarray | float:
 
 def model_score(z, n_points: int) -> float:
     """Mean-squared departure of one residual vector: ``||z||^2 / n_points``."""
-    arr = np.ascontiguousarray(z, dtype=np.float64)
+    arr = _frozen_float_array(z, "residual vector", order="C")
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError("residual vector must be non-empty and 1-d")
-    _require_finite(arr, "residual vector")
     n = int(n_points)
     if n < 1 or n != arr.size:
         raise ValidationError(

@@ -8,19 +8,26 @@ text.  A list or tuple of plain floats (a matrix row, a score or weight
 list) is formatted in one ``%.17g`` pass, and one of ``(int, int)``
 pairs (a witness list) in one ``%d`` pass; both give the same bytes as
 rendering each item on its own.
+
+The record dataclasses are the report's one schema.  A record renders as
+its fields in declaration order and an Enum as its value; ``parse_report``
+reads a report back through the same field declarations, so each field
+must have the JSON type that ``emit_report`` writes for it.
 """
 
 from __future__ import annotations
 
 import csv
+import enum
 import io
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import NoReturn
+from types import UnionType
+from typing import NoReturn, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -220,9 +227,13 @@ def _render(value) -> str:
         if pairs is not None:
             return "[" + (("[%d,%d]," * len(value)) % pairs)[:-1] + "]"
         return "[" + ",".join([_render(item) for item in value]) + "]"
+    if is_dataclass(value):  # a record: its fields, in declaration order
+        value = vars(value)
     if isinstance(value, dict):
         parts = [_render_key(str(k)) + _render(v) for k, v in value.items()]
         return "{" + ",".join(parts) + "}"
+    if isinstance(value, enum.Enum):
+        return _render(value.value)
     raise TypeError(f"cannot serialize {type(value).__name__} to canonical JSON")
 
 
@@ -236,42 +247,29 @@ def render_json(payload: dict) -> str:
     return _render(payload) + "\n"
 
 
-def _fields(record) -> dict | None:
-    """A record's fields, in declaration order, as JSON keys: a copy of the
-    instance dict of a dataclass whose ``__init__`` sets only its fields."""
-    if record is None:
-        return None
-    return vars(record).copy()
+#: The report fields that JSON nests, each with its object and its key
+#: there; an object stands where its first field does.
+_GROUPS = {
+    "interval_start": ("interval", "start"),
+    "interval_end": ("interval", "end"),
+    "n_points": ("interval", "n_points"),
+    "best_index": ("best", "index"),
+    "best_name": ("best", "name"),
+    "s_min_sq": ("best", "s_min_sq"),
+}
 
 
 def report_to_dict(report: DiagnosticsReport) -> dict:
-    """Report payload with the documented key order."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "interval": {
-            "start": report.interval_start,
-            "end": report.interval_end,
-            "n_points": report.n_points,
-        },
-        "model_names": report.model_names,
-        "weights_used": report.weights_used,
-        "per_model_scores": report.per_model_scores,
-        "correspondence": report.correspondence,
-        "cosines": report.cosines,
-        "perfect_models": report.perfect_models,
-        "ensemble_score": report.ensemble_score,
-        "best": {
-            "index": report.best_index,
-            "name": report.best_name,
-            "s_min_sq": report.s_min_sq,
-        },
-        "result1": _fields(report.result1),
-        "result2": _fields(report.result2),
-        "result3": _fields(report.result3),
-        "bounds": _fields(report.bounds),
-        "regime": None if report.regime is None else report.regime.value,
-        "settings": _fields(report.settings),
-    }
+    """Report payload with the documented key order: the report's fields
+    in declaration order, those in ``_GROUPS`` nested, records as they are."""
+    payload = {"schema_version": SCHEMA_VERSION}
+    for name, value in vars(report).items():
+        if name in _GROUPS:
+            group, key = _GROUPS[name]
+            payload.setdefault(group, {})[key] = value
+        else:
+            payload[name] = value
+    return payload
 
 
 def emit_report(report: DiagnosticsReport) -> str:
@@ -279,74 +277,80 @@ def emit_report(report: DiagnosticsReport) -> str:
     return render_json(report_to_dict(report))
 
 
-def _verdict_from_dict(data: dict | None) -> ResultVerdict | None:
-    if data is None:
-        return None
-    return ResultVerdict(
-        hypothesis_holds=bool(data["hypothesis_holds"]),
-        conclusion_holds=bool(data["conclusion_holds"]),
-        witnesses=tuple((int(i), int(j)) for i, j in data["witnesses"]),
-        s_min_sq=float(data["s_min_sq"]),
-        s_sq=float(data["s_sq"]),
-        best_model_index=int(data["best_model_index"]),
-    )
+def _malformed(where: str, problem: str) -> ValidationError:
+    return ValidationError(f"malformed report structure: {where}: {problem}")
+
+
+#: The types, as ``json.loads`` returns them, that each scalar field type
+#: accepts: exact types, so that a bool is not a number.
+_SCALARS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
+def _decode(kind, value, where: str):
+    """``value``, as ``json.loads`` returned it, as an instance of the field
+    type ``kind``: ``X | None``, a tuple, a record, an Enum or a scalar."""
+    origin = get_origin(kind)
+    if origin in (Union, UnionType):  # declared as X | None
+        inner, _ = get_args(kind)
+        return None if value is None else _decode(inner, value, where)
+    if origin is tuple:
+        if type(value) is not list:
+            raise _malformed(where, f"expected an array, got {type(value).__name__}")
+        args = get_args(kind)
+        if args[-1] is Ellipsis:
+            item_types = list(get_args(args[0]))  # of a fixed-length tuple item
+            if set(map(type, value)) <= {args[0]}:  # scalars of that exact type
+                return tuple(value)
+            if item_types and all(
+                type(item) is list and list(map(type, item)) == item_types for item in value
+            ):  # fixed-length tuples of scalars of those exact types
+                return tuple(map(tuple, value))
+            return tuple([_decode(args[0], item, where) for item in value])
+        if len(value) != len(args):
+            raise _malformed(where, f"expected {len(args)} items, got {len(value)}")
+        return tuple(map(_decode, args, value, [where] * len(args)))
+    if isinstance(kind, enum.EnumMeta):
+        try:
+            return kind(value)
+        except (ValueError, TypeError):
+            raise _malformed(where, f"unknown {kind.__name__} {_quote(str(value))}") from None
+    if type(value) not in (_SCALARS.get(kind) or (dict,)):  # a record is an object
+        raise _malformed(where, f"expected {kind.__name__}, got {type(value).__name__}")
+    if is_dataclass(kind):
+        decoded = {}
+        for name, field_kind in get_type_hints(kind).items():  # a record's fields
+            if name not in value:
+                raise _malformed(f"{where}.{name}", "missing")
+            decoded[name] = _decode(field_kind, value[name], f"{where}.{name}")
+        return kind(**decoded)
+    try:
+        return kind(value)
+    except OverflowError:  # an integer beyond the float range
+        raise _malformed(where, "number out of range") from None
 
 
 def parse_report(text: str) -> DiagnosticsReport:
-    """Rebuild a DiagnosticsReport from emitted JSON text."""
+    """Rebuild a DiagnosticsReport from emitted JSON text: the inverse of
+    ``emit_report``.  Every field is decoded through its declared type, and
+    a key that is missing or whose JSON type differs from what
+    ``emit_report`` writes raises ValidationError."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed report JSON: {exc}") from exc
-    try:
-        if data["schema_version"] != SCHEMA_VERSION:
-            raise ValidationError(
-                f"unsupported report schema_version {data['schema_version']!r}"
-            )
-        cosines = data["cosines"]
-        settings = data["settings"]
-        return DiagnosticsReport(
-            interval_start=int(data["interval"]["start"]),
-            interval_end=int(data["interval"]["end"]),
-            n_points=int(data["interval"]["n_points"]),
-            model_names=tuple(str(n) for n in data["model_names"]),
-            weights_used=tuple(float(x) for x in data["weights_used"]),
-            per_model_scores=tuple(float(x) for x in data["per_model_scores"]),
-            correspondence=tuple(
-                tuple(float(x) for x in row) for row in data["correspondence"]
-            ),
-            cosines=None
-            if cosines is None
-            else tuple(tuple(float(x) for x in row) for row in cosines),
-            perfect_models=tuple(int(i) for i in data["perfect_models"]),
-            ensemble_score=float(data["ensemble_score"]),
-            best_index=int(data["best"]["index"]),
-            best_name=str(data["best"]["name"]),
-            s_min_sq=float(data["best"]["s_min_sq"]),
-            result1=_verdict_from_dict(data["result1"]),
-            result2=_verdict_from_dict(data["result2"]),
-            result3=_verdict_from_dict(data["result3"]),
-            bounds=ScoreBounds(
-                lower=float(data["bounds"]["lower"]),
-                upper=float(data["bounds"]["upper"]),
-                actual=float(data["bounds"]["actual"]),
-                upper_tight=bool(data["bounds"]["upper_tight"]),
-            ),
-            regime=None if data["regime"] is None else Regime(data["regime"]),
-            settings=ReportSettings(
-                tol_equal=float(settings["tol_equal"]),
-                tol_cos=float(settings["tol_cos"]),
-                weights_mode=str(settings["weights_mode"]),
-                opt_max_iter=None
-                if settings["opt_max_iter"] is None
-                else int(settings["opt_max_iter"]),
-                opt_tol=None
-                if settings["opt_tol"] is None
-                else float(settings["opt_tol"]),
-            ),
+    except (ValueError, RecursionError) as exc:  # ValueError: also too many digits
+        raise ValidationError(f"malformed report JSON: {exc}") from None
+    if type(data) is not dict:
+        raise _malformed("report", f"expected an object, got {type(data).__name__}")
+    if data.get("schema_version") != SCHEMA_VERSION:
+        raise ValidationError(
+            f"unsupported report schema_version {data.get('schema_version')!r}"
         )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed report structure: {exc}") from exc
+    flat = dict(data)
+    for name, (group, key) in _GROUPS.items():
+        try:
+            flat[name] = data[group][key]
+        except (KeyError, TypeError):  # TypeError: the group is not an object
+            raise _malformed(f"{group}.{key}", "missing") from None
+    return _decode(DiagnosticsReport, flat, "report")
 
 
 # --------------------------------------------------------------------------

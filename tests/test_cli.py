@@ -479,3 +479,34 @@ def test_overlong_cell_error_is_a_short_line(tmp_path, row, message):
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert len(err) < 200 and err.endswith("…' (200000 characters)\n")
+
+
+@pytest.mark.parametrize("command", [["diagnose"], ["sweep", "--window", "3", "--stride", "2"]])
+def test_byte_order_mark_is_ignored(fixture_csv, tmp_path, command):
+    marked = tmp_path / "marked.csv"
+    marked.write_text("\ufeff" + FIXTURE, encoding="utf-8")
+    plain = _run([command[0], "--input", str(fixture_csv), *command[1:]])
+    assert plain[0] == 0
+    assert _run([command[0], "--input", str(marked), *command[1:]]) == plain
+
+
+def test_byte_order_mark_is_ignored_in_weight_files(fixture_csv, tmp_path):
+    outputs = []
+    for name, prefix in [("plain.json", ""), ("marked.json", "\ufeff")]:
+        path = tmp_path / name
+        path.write_text(prefix + "[0.5, 0.25, 0.25]", encoding="utf-8")
+        outputs.append(_run(["diagnose", "--input", str(fixture_csv), "--weights", f"@{path}"]))
+    assert outputs[0][0] == 0
+    assert outputs[1] == outputs[0]
+
+
+@pytest.mark.parametrize(
+    "weights", ["[" + "1" * 5000 + "]", "[" * 100_000], ids=["too-many-digits", "too-deep"]
+)
+def test_unreadable_weight_json_is_a_one_line_data_error(fixture_csv, tmp_path, weights):
+    path = tmp_path / "w.json"
+    path.write_text(weights, encoding="utf-8")
+    code, out, err = _run(["diagnose", "--input", str(fixture_csv), "--weights", f"@{path}"])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: weight file {str(path)!r} is not valid JSON: ")
+    assert err.count("\n") == 1

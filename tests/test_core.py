@@ -99,6 +99,37 @@ def test_model_ensemble_rejects_ragged_outputs():
         ModelEnsemble(("a", "b"), [[1.0, 2.0], [1.0]])
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: ObservationSeries([0, 1], ["a", "b"]), "observed values must be a rectangular"),
+        (lambda: ObservationSeries([0, 1], [[1], [2, 3]]), "observed values must be a rectangular"),
+        (lambda: ObservationSeries([[0], [1, 2]], [1, 2]), "times must be a non-empty 1-d"),
+        (lambda: ModelEnsemble(("a",), [["x", "y"]]), "model outputs must be a rectangular"),
+        (lambda: WeightVector(["x"]), "weights must be a rectangular"),
+        (lambda: WeightVector([{}]), "weights must be a rectangular"),
+        (lambda: WeightVector([10**400]), "weights must be finite"),
+        (lambda: ResidualSet([[1, 2], [3]], 2), "residuals must be a rectangular"),
+        (lambda: CorrespondenceMatrix([["a"]]), "correspondence entries must be a rectangular"),
+        (lambda: model_score(["x"], 1), "residual vector must be a rectangular"),
+    ],
+    ids=[
+        "obs-strings", "obs-ragged", "times-ragged", "outputs-strings", "weights-string",
+        "weights-object", "weights-int-beyond-float", "residuals-ragged", "entries-string",
+        "residual-vector-string",
+    ],
+)
+def test_array_records_reject_unconvertible_input(make, message):
+    with pytest.raises(ValidationError, match=message):
+        make()
+
+
+def test_array_records_keep_their_memory_layout():
+    outputs = np.asfortranarray([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    assert ModelEnsemble(("a", "b"), outputs).outputs.flags.f_contiguous
+    assert ResidualSet(outputs, 3).residuals.flags.c_contiguous
+
+
 def test_model_ensemble_allows_duplicate_series():
     ens = ModelEnsemble(("a", "b"), [[1.0, 2.0], [1.0, 2.0]])
     assert ens.n_models == 2

@@ -15,11 +15,14 @@ from ensdiag import (
     ValidationError,
     WeightVector,
     build_report,
+    calibrate_then_validate,
     emit_report,
+    optimal_weights,
     format_ensemble_csv,
     parse_ensemble_csv,
     parse_report,
     render_json,
+    residuals,
     uniform_weights,
 )
 from helpers import parse_csv_reference
@@ -297,7 +300,7 @@ def test_render_json_is_deterministic():
 # ---------------------------------------------------------------------------
 
 
-def _sample_report():
+def _sample_inputs():
     obs = ObservationSeries([0, 1, 2, 3], [0.0, 1.0, 0.5, -0.25])
     ens = ModelEnsemble(
         ("alpha", "beta", "gamma"),
@@ -307,7 +310,11 @@ def _sample_report():
             [0.1, 1.1, 0.4, -0.2],
         ],
     )
-    return build_report(obs, ens, uniform_weights(3))
+    return obs, ens
+
+
+def _sample_report():
+    return build_report(*_sample_inputs(), uniform_weights(3))
 
 
 def test_report_round_trip():
@@ -384,6 +391,81 @@ def test_report_single_model_degenerate_form():
 def test_parse_report_rejects_other_schema():
     text = emit_report(_sample_report()).replace('"schema_version":"1"', '"schema_version":"2"')
     with pytest.raises(ValidationError):
+        parse_report(text)
+
+
+def _optimized_reports():
+    obs, ens = _sample_inputs()
+    fitted = optimal_weights(residuals(ens, obs), 50, 1e-9)
+    built = build_report(
+        obs, ens, fitted.weights, weights_mode="optimal", opt_max_iter=50, opt_tol=1e-9
+    )
+    validated = calibrate_then_validate(obs, ens, 1, opt_max_iter=60, opt_tol=1e-8)
+    return {"build_report": built, "calibrate_then_validate": validated.validation_report}
+
+
+@pytest.mark.parametrize("source", ["build_report", "calibrate_then_validate"])
+def test_report_round_trip_with_optimizer_settings(source):
+    report = _optimized_reports()[source]
+    assert report.settings.opt_max_iter is not None and report.settings.opt_tol is not None
+    text = emit_report(report)
+    parsed = parse_report(text)
+    assert parsed == report
+    assert emit_report(parsed) == text
+
+
+def _set(*path, value):
+    """An edit of a report document that sets the key at ``path``."""
+
+    def edit(report):
+        *parents, key = path
+        data = report
+        for parent in parents:
+            data = data[parent]
+        data[key] = value
+        return report
+
+    return edit
+
+
+def _drop(*path):
+    """An edit of a report document that deletes the key at ``path``."""
+
+    def edit(report):
+        *parents, key = path
+        data = report
+        for parent in parents:
+            data = data[parent]
+        del data[key]
+        return report
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set("ensemble_score", value="abc"),
+        _set("interval", "start", value=1.5),
+        _set("result1", "hypothesis_holds", value="false"),
+        _set("result1", "hypothesis_holds", value=0),
+        _set("result1", "witnesses", value=[[0, 1, 2]]),
+        _set("regime", value="bogus"),
+        _set("result1", value=3),
+        _drop("bounds"),
+        _drop("interval", "end"),
+        lambda report: [report],
+        lambda report: None,
+    ],
+    ids=[
+        "string-score", "fractional-start", "string-bool", "int-bool", "3-item-witness",
+        "unknown-regime", "number-for-record", "missing-bounds", "missing-interval-end",
+        "top-level-array", "top-level-null",
+    ],
+)
+def test_parse_report_rejects_each_mistyped_field(edit):
+    text = json.dumps(edit(json.loads(emit_report(_sample_report()))))
+    with pytest.raises(ValidationError, match="^malformed report structure: "):
         parse_report(text)
 
 
