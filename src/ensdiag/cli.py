@@ -1,4 +1,8 @@
-"""Command-line interface: diagnose, optimize, select, and sweep."""
+"""Command-line interface: one path from argv to stdout.
+
+Parse the arguments, read and parse the ``--input`` CSV once, call the
+subcommand's runner (bound as ``run``), and render its result as JSON.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ModelEnsemble, ObservationSeries, WeightVector, residuals
+from .core import WeightVector, residuals
 from .diagnostics import DEFAULT_TOL_COS, DEFAULT_TOL_EQUAL
 from .errors import EnsdiagError, ValidationError
 from .evaluation import calibrate_then_validate, sweep_best_model
@@ -37,34 +41,29 @@ def _weights_choice(text: str) -> str:
     )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", required=True, help="path to the ensemble CSV")
-    parser.add_argument(
+def build_parser() -> argparse.ArgumentParser:
+    io_options = argparse.ArgumentParser(add_help=False)
+    io_options.add_argument("--input", required=True, help="path to the ensemble CSV")
+    io_options.add_argument(
         "--output", help="write the JSON report here instead of standard output"
     )
-
-
-def _add_weight_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+    weight_options = argparse.ArgumentParser(add_help=False)
+    weight_options.add_argument(
         "--weights",
         type=_weights_choice,
         default="uniform",
         help="'uniform' (default), 'optimal', or '@file.json' with a weight array",
     )
-
-
-def _add_opt_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+    opt_options = argparse.ArgumentParser(add_help=False)
+    opt_options.add_argument(
         "--opt-max-iter", type=int, default=DEFAULT_MAX_ITER,
         help="cap on the weight optimizer's active-set steps",
     )
-    parser.add_argument(
+    opt_options.add_argument(
         "--opt-tol", type=float, default=DEFAULT_TOL,
         help="weight optimizer's KKT-gap tolerance, relative to the score",
     )
 
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ensdiag",
         description=(
@@ -75,11 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     diagnose = sub.add_parser(
-        "diagnose", help="full diagnostics report for one CSV input"
+        "diagnose", help="full diagnostics report for one CSV input",
+        parents=[io_options, weight_options, opt_options],
     )
-    _add_common(diagnose)
-    _add_weight_options(diagnose)
-    _add_opt_options(diagnose)
+    diagnose.set_defaults(run=_run_diagnose)
     diagnose.add_argument(
         "--tol-equal", type=float, default=DEFAULT_TOL_EQUAL,
         help="relative tolerance for 'about equally good' scores",
@@ -96,14 +94,16 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    optimize = sub.add_parser(
-        "optimize", help="minimize the ensemble score over the simplex"
-    )
-    _add_common(optimize)
-    _add_opt_options(optimize)
+    sub.add_parser(
+        "optimize", help="minimize the ensemble score over the simplex",
+        parents=[io_options, opt_options],
+    ).set_defaults(run=_run_optimize)
 
-    select = sub.add_parser("select", help="pre-screen or pick an anti-correlated subset")
-    _add_common(select)
+    select = sub.add_parser(
+        "select", help="pre-screen or pick an anti-correlated subset",
+        parents=[io_options],
+    )
+    select.set_defaults(run=_run_select)
     select.add_argument(
         "--mode", choices=("prescreen", "anticorr"), required=True
     )
@@ -115,10 +115,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--k", type=int, default=None, help="subset size (anticorr mode)"
     )
 
-    sweep = sub.add_parser("sweep", help="best member and average per window")
-    _add_common(sweep)
-    _add_weight_options(sweep)
-    _add_opt_options(sweep)
+    sweep = sub.add_parser(
+        "sweep", help="best member and average per window",
+        parents=[io_options, weight_options, opt_options],
+    )
+    sweep.set_defaults(run=_run_sweep)
     sweep.add_argument("--window", type=int, required=True, help="window length")
     sweep.add_argument("--stride", type=int, required=True, help="window step")
 
@@ -126,11 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate_combinations(parser: argparse.ArgumentParser, args) -> None:
-    if args.command == "select":
-        if args.mode == "prescreen" and args.threshold is None:
-            parser.error("--threshold is required with --mode prescreen")
-        if args.mode == "anticorr" and args.k is None:
-            parser.error("--k is required with --mode anticorr")
+    option = {"prescreen": "threshold", "anticorr": "k"}.get(getattr(args, "mode", None))
+    if option is not None and getattr(args, option) is None:
+        parser.error(f"--{option} is required with --mode {args.mode}")
 
 
 def _read_text(kind: str, path: str) -> str:
@@ -144,10 +143,6 @@ def _read_text(kind: str, path: str) -> str:
             f"{kind} file {path!r} is not UTF-8 text: {exc.reason} at byte {exc.start}"
         ) from None
     return text.removeprefix("\ufeff")
-
-
-def _read_input(path: str) -> tuple[ObservationSeries, ModelEnsemble]:
-    return parse_ensemble_csv(_read_text("input", path))
 
 
 def _weights_from_file(path: str, n_models: int) -> WeightVector:
@@ -192,8 +187,12 @@ def _resolve_weights(args, obs, ens) -> tuple[WeightVector, str]:
     return _weights_from_file(args.weights[1:], ens.n_models), "file"
 
 
-def _run_diagnose(args) -> str:
-    obs, ens = _read_input(args.input)
+def _document(**fields) -> str:
+    """Canonical JSON of one output document, ``schema_version`` first."""
+    return render_json({"schema_version": SCHEMA_VERSION, **fields})
+
+
+def _run_diagnose(args, obs, ens) -> str:
     if args.calibration_end is not None:
         result = calibrate_then_validate(
             obs,
@@ -204,15 +203,13 @@ def _run_diagnose(args) -> str:
             tol_equal=args.tol_equal,
             tol_cos=args.tol_cos,
         )
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "calibration": {
+        return _document(
+            calibration={
                 "boundary": int(args.calibration_end),
                 "weights": result.calibration_weights.weights.tolist(),
             },
-            "validation_report": report_to_dict(result.validation_report),
-        }
-        return render_json(payload)
+            validation_report=report_to_dict(result.validation_report),
+        )
     weights, mode = _resolve_weights(args, obs, ens)
     used_optimizer = mode == "optimal"
     report = build_report(
@@ -228,26 +225,22 @@ def _run_diagnose(args) -> str:
     return emit_report(report)
 
 
-def _run_optimize(args) -> str:
-    obs, ens = _read_input(args.input)
+def _run_optimize(args, obs, ens) -> str:
     outcome = optimal_weights(residuals(ens, obs), args.opt_max_iter, args.opt_tol)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "weights": outcome.weights.weights.tolist(),
-        "score": outcome.score,
-        "iterations": outcome.iterations,
-        "converged": outcome.converged,
-        "active_support": list(outcome.active_support),
-        "settings": {
+    return _document(
+        weights=outcome.weights.weights.tolist(),
+        score=outcome.score,
+        iterations=outcome.iterations,
+        converged=outcome.converged,
+        active_support=list(outcome.active_support),
+        settings={
             "opt_max_iter": int(args.opt_max_iter),
             "opt_tol": float(args.opt_tol),
         },
-    }
-    return render_json(payload)
+    )
 
 
-def _run_select(args) -> str:
-    obs, ens = _read_input(args.input)
+def _run_select(args, obs, ens) -> str:
     rs = residuals(ens, obs)
     if args.mode == "prescreen":
         report = prescreen(rs, obs, args.threshold)
@@ -256,42 +249,28 @@ def _run_select(args) -> str:
         report = anti_correlated_subset(rs, args.k)
         settings = {"mode": "anticorr", "threshold": None, "k": int(args.k)}
     ratios = report.ratios
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "criterion": report.criterion,
-        "kept": list(report.kept),
-        "dropped": [
+    return _document(
+        criterion=report.criterion,
+        kept=list(report.kept),
+        dropped=[
             {"index": i, "ratio": None if ratios is None else ratios[i]}
             for i in report.dropped
         ],
-        "ratios": None if ratios is None else list(ratios),
-        "objective_value": report.objective_value,
-        "settings": settings,
-    }
-    return render_json(payload)
+        ratios=None if ratios is None else list(ratios),
+        objective_value=report.objective_value,
+        settings=settings,
+    )
 
 
-def _run_sweep(args) -> str:
-    obs, ens = _read_input(args.input)
+def _run_sweep(args, obs, ens) -> str:
     weights, mode = _resolve_weights(args, obs, ens)
-    rows = sweep_best_model(obs, ens, args.window, args.stride, weights)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "window": int(args.window),
-        "stride": int(args.stride),
-        "weights_mode": mode,
-        "weights_used": weights.weights.tolist(),
-        "rows": rows,
-    }
-    return render_json(payload)
-
-
-_RUNNERS = {
-    "diagnose": _run_diagnose,
-    "optimize": _run_optimize,
-    "select": _run_select,
-    "sweep": _run_sweep,
-}
+    return _document(
+        window=int(args.window),
+        stride=int(args.stride),
+        weights_mode=mode,
+        weights_used=weights.weights.tolist(),
+        rows=sweep_best_model(obs, ens, args.window, args.stride, weights),
+    )
 
 
 def run_command(argv, stdout=None, stderr=None) -> int:
@@ -309,7 +288,8 @@ def run_command(argv, stdout=None, stderr=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        text = _RUNNERS[args.command](args)
+        obs, ens = parse_ensemble_csv(_read_text("input", args.input))
+        text = args.run(args, obs, ens)
         if args.output:
             Path(args.output).write_text(text, encoding="utf-8")
         else:

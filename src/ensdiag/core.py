@@ -293,10 +293,13 @@ def residuals(ensemble: ModelEnsemble, obs: ObservationSeries) -> ResidualSet:
     """Subtract the observations from every model series.
 
     Raises AlignmentError when the ensemble and the observations do not
-    have the same number of points.
+    have the same number of points.  A difference that overflows is left
+    infinite, for ResidualSet's finiteness rule to refuse.
     """
     _check_aligned(ensemble, obs)
-    return ResidualSet(ensemble.outputs - obs.values, obs.n_points)
+    with np.errstate(over="ignore"):
+        z = ensemble.outputs - obs.values
+    return ResidualSet(z, obs.n_points)
 
 
 _BLOCK = 4096  # see _mean_square

@@ -95,6 +95,12 @@ def _require_two_models(rs: ResidualSet) -> None:
         raise ValidationError("this check requires at least two models")
 
 
+def _check_tolerances(tol_equal: float, tol_cos: float) -> None:
+    """The regime tolerances' one rule, for every caller that takes them."""
+    if not (0.0 < tol_equal < 1.0) or not (0.0 < tol_cos < 1.0):
+        raise ValidationError("regime tolerances must lie strictly between 0 and 1")
+
+
 def _pairs_where(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
     """The pairs (i, j), i < j, where ``mask`` holds, in row-major order."""
     rows, cols = np.nonzero(np.triu(mask, k=1))
@@ -203,8 +209,7 @@ def classify_regime(
     anything else is ``Neither``.
     """
     _require_two_models(rs)
-    if not (0.0 < tol_equal < 1.0) or not (0.0 < tol_cos < 1.0):
-        raise ValidationError("regime tolerances must lie strictly between 0 and 1")
+    _check_tolerances(tol_equal, tol_cos)
     cosines = cosine_matrix(rs)
     scores, best, s_min_sq = rs.scores, rs.best, rs.s_min_sq
     pairs = np.triu(np.ones(cosines.shape, dtype=bool), k=1)

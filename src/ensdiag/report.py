@@ -47,6 +47,7 @@ from .diagnostics import (
     Regime,
     ResultVerdict,
     ScoreBounds,
+    _check_tolerances,
     check_result1,
     check_result2,
     check_result3,
@@ -130,7 +131,9 @@ def build_report(
     """Run the full diagnostic battery and collect it into one report.
 
     The residual set is built once, and every check reads its geometry.
+    The regime tolerances are checked even where no regime is classified.
     """
+    _check_tolerances(tol_equal, tol_cos)
     rs = residuals(ens, obs)
     m = ens.n_models
     angles_defined = m >= 2 and not rs.perfect

@@ -19,6 +19,7 @@ from .core import (
     ResidualSet,
     WeightVector,
     _correspondence_entries,  # unused here; perfbench/worker.py traces it by name
+    _frozen_float_array,
     ensemble_score,
 )
 from .errors import ValidationError
@@ -70,14 +71,20 @@ def project_to_simplex(v) -> np.ndarray:
 
     Sort-and-threshold algorithm: the projection is ``max(v - tau, 0)``
     for the unique shift ``tau`` making the positive part sum to one.
+    Adding one constant to every entry does not change the projection,
+    so ``v - max(v)`` is projected: its leading entry is 0, and the
+    support is never empty.  An entry that the shift takes to ``-inf``
+    projects to 0; overflow reaches only entries far below the support.
     """
-    arr = np.asarray(v, dtype=np.float64)
+    arr = _frozen_float_array(v, "projection input")
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError("projection input must be a non-empty 1-d vector")
-    sorted_desc = np.sort(arr)[::-1]
-    cumulative = np.cumsum(sorted_desc)
-    counts = np.arange(1, arr.size + 1)
-    support = np.flatnonzero(sorted_desc * counts > cumulative - 1.0)
+    with np.errstate(over="ignore"):
+        arr = arr - arr.max()
+        sorted_desc = np.sort(arr)[::-1]
+        cumulative = np.cumsum(sorted_desc)
+        counts = np.arange(1, arr.size + 1)
+        support = np.flatnonzero(sorted_desc * counts > cumulative - 1.0)
     rho = int(support[-1])
     tau = (cumulative[rho] - 1.0) / (rho + 1)
     return np.maximum(arr - tau, 0.0)

@@ -1,9 +1,12 @@
 """End-to-end CLI behavior: subcommands, exit codes, determinism."""
 
+import argparse
 import dataclasses
+import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +16,7 @@ import pytest
 
 import ensdiag
 from ensdiag import ModelEnsemble, ObservationSeries, format_ensemble_csv
-from ensdiag.cli import run_command
+from ensdiag.cli import build_parser, run_command
 from helpers import render_json_reference
 
 FIXTURE = "t,Y,alpha,beta,gamma\n" + "".join(
@@ -510,3 +513,88 @@ def test_unreadable_weight_json_is_a_one_line_data_error(fixture_csv, tmp_path, 
     assert (code, out) == (1, "")
     assert err.startswith(f"error: weight file {str(path)!r} is not valid JSON: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diagnose"],
+        ["optimize"],
+        ["select", "--mode", "anticorr", "--k", "2"],
+        ["sweep", "--window", "2", "--stride", "1"],
+    ],
+)
+def test_residuals_that_overflow_in_the_subtraction_are_one_line_data_errors(tmp_path, argv):
+    path = tmp_path / "overflow.csv"
+    path.write_text(
+        "t,Y,a,b\n0,1.7e308,-1.7e308,1.7e308\n1,1.7e308,1.7e308,-1.7e308\n",
+        encoding="utf-8",
+    )
+    code, out, err = _run([argv[0], "--input", str(path), *argv[1:]])
+    assert (code, out, err) == (1, "", "error: residuals must be finite\n")
+
+
+@pytest.mark.parametrize(
+    "text", ["t,Y,a,b\n0,1,1,3\n1,2,2,5\n", "t,Y,a\n0,1,2\n1,2,3\n"],
+    ids=["perfect-member", "single-model"],
+)
+def test_regime_tolerances_are_checked_on_inputs_without_a_regime(tmp_path, text):
+    path = tmp_path / "no-regime.csv"
+    path.write_text(text, encoding="utf-8")
+    argv = ["diagnose", "--input", str(path)]
+    assert _run(argv)[0] == 0
+    code, out, err = _run([*argv, "--tol-equal", "5", "--tol-cos", "-3"])
+    assert (code, out) == (1, "")
+    assert err == "error: regime tolerances must lie strictly between 0 and 1\n"
+
+
+#: The option strings of each subcommand, in the order its help lists them.
+SUBCOMMAND_OPTIONS = {
+    "diagnose": [
+        "-h", "--help", "--input", "--output", "--weights", "--opt-max-iter",
+        "--opt-tol", "--tol-equal", "--tol-cos", "--calibration-end",
+    ],
+    "optimize": ["-h", "--help", "--input", "--output", "--opt-max-iter", "--opt-tol"],
+    "select": ["-h", "--help", "--input", "--output", "--mode", "--threshold", "--k"],
+    "sweep": [
+        "-h", "--help", "--input", "--output", "--weights", "--opt-max-iter",
+        "--opt-tol", "--window", "--stride",
+    ],
+}
+
+
+def test_each_subcommand_takes_exactly_its_options():
+    (subcommands,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    found = {
+        name: [option for action in parser._actions for option in action.option_strings]
+        for name, parser in subcommands.choices.items()
+    }
+    assert found == SUBCOMMAND_OPTIONS
+
+
+@pytest.mark.parametrize(
+    "argv", [["optimize"], ["diagnose", "--weights", "optimal"]]
+)
+def test_optimizer_settings_reach_the_output(fixture_csv, argv):
+    options = ["--opt-max-iter", "7", "--opt-tol", "1e-9"]
+    code, out, err = _run([argv[0], "--input", str(fixture_csv), *argv[1:], *options])
+    assert (code, err) == (0, "")
+    settings = json.loads(out)["settings"]
+    assert (settings["opt_max_iter"], settings["opt_tol"]) == (7, 1e-9)
+
+
+def test_console_script_resolves_to_a_callable():
+    # A regex, not tomllib: tomllib needs Python 3.11, and 3.10 is supported.
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    match = re.search(
+        r'^\[project\.scripts\]\nensdiag = "([\w.]+):(\w+)"$',
+        pyproject.read_text(encoding="utf-8"),
+        re.MULTILINE,
+    )
+    assert match, "pyproject.toml declares no ensdiag console script"
+    module, attribute = match.groups()
+    assert callable(getattr(importlib.import_module(module), attribute))

@@ -215,6 +215,15 @@ def test_residuals_alignment_error():
         residuals(ens, obs)
 
 
+def test_residuals_whose_difference_overflows_are_refused_without_a_warning():
+    # Tier-1 turns a RuntimeWarning into an error, so a leaked overflow
+    # warning fails this test as well as a missing refusal.
+    obs = ObservationSeries([0, 1], [1.7e308, 1.7e308])
+    ens = ModelEnsemble(("a", "b"), [[-1.7e308, 1.7e308], [1.7e308, -1.7e308]])
+    with pytest.raises(ValidationError, match="residuals must be finite"):
+        residuals(ens, obs)
+
+
 def test_residuals_reconstruction_exact_on_dyadic_data():
     rng = np.random.default_rng(7)
     for _ in range(50):

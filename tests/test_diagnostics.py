@@ -9,11 +9,15 @@ from ensdiag import (
     ResidualSet,
     ValidationError,
     WeightVector,
+    build_report,
+    calibrate_then_validate,
     check_result1,
     check_result2,
     check_result3,
     classify_regime,
+    parse_ensemble_csv,
     schwartz_bounds,
+    uniform_weights,
 )
 from helpers import random_residual_set, random_weights
 
@@ -260,3 +264,23 @@ def test_regime_validates_inputs():
         classify_regime(ResidualSet([[1.0, 0.0]], 2))
     with pytest.raises(PerfectModelError):
         classify_regime(ResidualSet([[0.0, 0.0], [1.0, 1.0]], 2))
+
+
+# A perfect member, and a single model: inputs with no regime to classify.
+NO_REGIME_INPUTS = {
+    "perfect-member": "t,Y,a,b\n0,1,1,3\n1,2,2,5\n2,0,0,1\n3,1,1,4\n",
+    "single-model": "t,Y,a\n0,1,2\n1,2,3\n2,0,2\n3,1,3\n",
+}
+
+
+@pytest.mark.parametrize("text", NO_REGIME_INPUTS.values(), ids=NO_REGIME_INPUTS)
+@pytest.mark.parametrize("tol_equal, tol_cos", [(5.0, -3.0), (0.0, 0.1), (0.05, 1.0)])
+def test_regime_tolerances_are_checked_without_a_regime(text, tol_equal, tol_cos):
+    obs, ens = parse_ensemble_csv(text)
+    tolerances = {"tol_equal": tol_equal, "tol_cos": tol_cos}
+    with pytest.raises(ValidationError, match="regime tolerances"):
+        build_report(obs, ens, uniform_weights(ens.n_models), **tolerances)
+    with pytest.raises(ValidationError, match="regime tolerances"):
+        calibrate_then_validate(obs, ens, 1, **tolerances)
+    report = build_report(obs, ens, uniform_weights(ens.n_models))
+    assert report.regime is None

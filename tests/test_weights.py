@@ -71,6 +71,39 @@ def test_projection_fixes_simplex_points():
         np.testing.assert_allclose(project_to_simplex(w), w, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "v, expected",
+    [
+        ([1e16, 0.0], [1.0, 0.0]),  # the old "- 1.0" vanished beside 1e16
+        ([1e20, 0.0], [1.0, 0.0]),
+        ([1e308, -1e308], [1.0, 0.0]),  # the shift overflows to -inf
+        ([1e308, 1e308], [0.5, 0.5]),
+        ([0.0, -1.5e308, -1.5e308], [1.0, 0.0, 0.0]),  # products overflow
+        ([2.0, 0.0], [1.0, 0.0]),
+        ([0.25, 0.25], [0.5, 0.5]),
+    ],
+    ids=["1e16", "1e20", "shift-overflow", "tie-at-max", "product-overflow", "plain", "tie"],
+)
+def test_projection_of_extreme_entries(v, expected):
+    assert project_to_simplex(v).tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "v, message",
+    [
+        (["x"], "rectangular array of numbers"),
+        ([math.nan, 1.0], "must be finite"),
+        ([math.inf, 1.0], "must be finite"),
+        ([], "non-empty 1-d"),
+        ([[1.0, 0.0]], "non-empty 1-d"),
+    ],
+    ids=["string", "nan", "inf", "empty", "2-d"],
+)
+def test_projection_refuses_what_it_cannot_project(v, message):
+    with pytest.raises(ValidationError, match=message):
+        project_to_simplex(v)
+
+
 def test_projection_is_nearest_feasible_point():
     rng = np.random.default_rng(43)
     for _ in range(100):
