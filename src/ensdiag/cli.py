@@ -27,6 +27,7 @@ from .report import (
 )
 from .selection import anti_correlated_subset, prescreen
 from .weights import DEFAULT_MAX_ITER, DEFAULT_TOL, optimal_weights, uniform_weights
+from .weights import _check_optimizer_options
 
 #: Supplied weight files may miss an exact unit sum by this much before
 #: renormalization; anything looser is rejected.
@@ -289,6 +290,8 @@ def run_command(argv, stdout=None, stderr=None) -> int:
         return int(exc.code or 0)
     try:
         obs, ens = parse_ensemble_csv(_read_text("input", args.input))
+        if "opt_max_iter" in args:  # checked whether or not the optimizer runs
+            _check_optimizer_options(args.opt_max_iter, args.opt_tol)
         text = args.run(args, obs, ens)
         if args.output:
             Path(args.output).write_text(text, encoding="utf-8")

@@ -162,10 +162,9 @@ class ResidualSet:
     ``scores``, the direct per-model scores, which are also its diagonal;
     ``norms``, their roots; ``best``, the lowest index with the least score,
     and ``s_min_sq``, that score; ``perfect``, the members whose residual
-    row is all zero; ``cosines`` and ``thresholds``, the cosine matrix and
-    the ``S_min^2 / (S_m S_m')`` of Results 2 and 3, both None when a
-    member is perfect.  Residuals whose correspondences overflow, or whose
-    nonzero rows score 0, raise ValidationError.
+    row is all zero; ``cosines``, the cosine matrix, None when a member is
+    perfect.  Residuals whose correspondences overflow, or whose nonzero
+    rows score 0, raise ValidationError.
     """
 
     residuals: np.ndarray
@@ -177,7 +176,6 @@ class ResidualSet:
     s_min_sq: float = field(init=False, repr=False)
     perfect: tuple[int, ...] = field(init=False, repr=False)
     cosines: np.ndarray | None = field(init=False, repr=False)
-    thresholds: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         arr = _frozen_float_array(self.residuals, "residuals", order="C")
@@ -196,7 +194,7 @@ class ResidualSet:
         best = int(np.argmin(scores))
         s_min_sq = float(scores[best])
         perfect = tuple(np.flatnonzero(scores == 0.0).tolist())  # the all-zero rows
-        cosines = thresholds = None
+        cosines = None
         if not perfect:
             cosines = entries / np.outer(norms, norms)
             overshoot = float(np.abs(cosines).max()) - 1.0
@@ -207,11 +205,9 @@ class ResidualSet:
                 )
             cosines = np.clip(cosines, -1.0, 1.0)
             np.fill_diagonal(cosines, 1.0)
-            thresholds = s_min_sq / np.outer(norms, norms)
         geometry = {
             "entries": entries, "scores": scores, "norms": norms, "best": best,
             "s_min_sq": s_min_sq, "perfect": perfect, "cosines": cosines,
-            "thresholds": thresholds,
         }
         for name, value in geometry.items():
             if isinstance(value, np.ndarray):

@@ -1,16 +1,15 @@
 """Verdicts on when the weighted average beats the best individual member.
 
 Three checks share one vocabulary: ``check_result1`` and ``check_result2``
-test a sufficient condition for the best member to beat the average (the
-same condition, stated on correspondences and on cosines respectively),
-and ``check_result3`` tests the necessary anti-collinearity condition for
-the average to win.  Each verdict records its hypothesis and conclusion
-separately; the implications between them are verified by the test
-suite, never assumed here.
+test a sufficient condition for the best member to beat the average (one
+condition, stated on correspondences and on cosines), and ``check_result3``
+tests the necessary anti-collinearity condition for the average to win.
+Each verdict records its hypothesis and conclusion separately; the
+implications between them are verified by the test suite, never assumed.
 
 Every check reads the Gram geometry that the ``ResidualSet`` formed when
-it was constructed, so the checks of one set share it.  Each pair test is
-one mask over the upper triangle, read in row-major order.
+it was constructed, so the checks of one set share it.  Each pair test
+compares the correspondences over the upper triangle, in row-major order.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from .core import (
     ensemble_score,
     model_scores,  # unused here; perfbench/worker.py traces it by name
 )
-from .errors import EnsdiagError, ValidationError
+from .errors import EnsdiagError, PerfectModelError, ValidationError
 
 __all__ = [
     "TIGHT_COSINE_TOL",
@@ -107,8 +106,17 @@ def _pairs_where(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple(zip(rows.tolist(), cols.tolist()))
 
 
-def _sufficient_verdict(rs, w, violations) -> ResultVerdict:
-    witnesses = _pairs_where(violations)
+def check_result1(rs: ResidualSet, w: WeightVector) -> ResultVerdict:
+    """Sufficient condition, correspondence form.
+
+    Hypothesis: every off-diagonal correspondence strictly exceeds the
+    best member's score.  Conclusion: the average scores strictly worse
+    than the best member.  Ties count against the hypothesis and are
+    reported as witnesses.
+    """
+    _require_two_models(rs)
+    _check_weight_length(rs, w)
+    witnesses = _pairs_where(~(rs.entries > rs.s_min_sq))
     s_sq = ensemble_score(rs, w)
     return ResultVerdict(
         hypothesis_holds=not witnesses,
@@ -120,44 +128,34 @@ def _sufficient_verdict(rs, w, violations) -> ResultVerdict:
     )
 
 
-def check_result1(rs: ResidualSet, w: WeightVector) -> ResultVerdict:
-    """Sufficient condition, correspondence form.
-
-    Hypothesis: every off-diagonal correspondence strictly exceeds the
-    best member's score.  Conclusion: the average scores strictly worse
-    than the best member.  Ties count against the hypothesis and are
-    reported as witnesses.
-    """
-    _require_two_models(rs)
-    _check_weight_length(rs, w)
-    return _sufficient_verdict(rs, w, ~(rs.entries > rs.s_min_sq))
-
-
 def check_result2(rs: ResidualSet, w: WeightVector) -> ResultVerdict:
     """Sufficient condition, cosine form.
 
-    Algebraically the same test as ``check_result1`` (divide both sides
-    by the product of the two scores), evaluated independently through
-    the cosine matrix as a cross-check.  Raises PerfectModelError when a
-    member has zero residual.
+    ``cos(m, m') > S_min^2 / (S_m S_m')`` is ``R[m, m'] > S_min^2`` with
+    both sides divided by ``S_m S_m' > 0``, so the verdict is
+    ``check_result1``'s.  Raises PerfectModelError when a member has zero
+    residual, since its cosines are undefined.
     """
     _require_two_models(rs)
     _check_weight_length(rs, w)
-    violations = ~(cosine_matrix(rs) > rs.thresholds)
-    return _sufficient_verdict(rs, w, violations)
+    if rs.perfect:
+        raise PerfectModelError(rs.perfect)
+    return check_result1(rs, w)
 
 
 def check_result3(rs: ResidualSet, w: WeightVector) -> ResultVerdict:
     """Necessary condition for the average to beat every member.
 
     Hypothesis: the average scores strictly better than the best member.
-    Conclusion: some pair of residual vectors is anti-collinear enough,
-    i.e. its cosine falls below the best score divided by the product of
-    the pair's scores.  All such pairs are reported as witnesses.
+    Conclusion: some pair's cosine falls below ``S_min^2 / (S_m S_m')``,
+    i.e. its correspondence falls below ``S_min^2``.  All such pairs are
+    reported as witnesses.  Raises PerfectModelError like check_result2.
     """
     _require_two_models(rs)
     _check_weight_length(rs, w)
-    witnesses = _pairs_where(cosine_matrix(rs) < rs.thresholds)
+    if rs.perfect:
+        raise PerfectModelError(rs.perfect)
+    witnesses = _pairs_where(rs.entries < rs.s_min_sq)
     s_sq = ensemble_score(rs, w)
     return ResultVerdict(
         hypothesis_holds=s_sq < rs.s_min_sq,
@@ -174,10 +172,9 @@ def schwartz_bounds(rs: ResidualSet, w: WeightVector) -> ScoreBounds:
 
     The upper bound is the squared weighted sum of the per-model root
     scores; it is attained exactly when all residual directions agree,
-    so ``upper_tight`` reports whether every off-diagonal cosine among
-    nonzero-residual members is 1 within TIGHT_COSINE_TOL.  Zero-residual
-    members never spoil tightness: they contribute nothing to either
-    side.
+    so ``upper_tight`` reports whether every off-diagonal correspondence
+    is at least ``(1 - TIGHT_COSINE_TOL) S_m S_m'``.  A zero-residual
+    member has a zero row and root score, so it never spoils tightness.
     """
     weights = _check_weight_length(rs, w)
     upper = float(weights @ rs.norms) ** 2
@@ -187,10 +184,8 @@ def schwartz_bounds(rs: ResidualSet, w: WeightVector) -> ScoreBounds:
             f"internal inconsistency: ensemble score {actual!r} exceeds its "
             f"upper bound {upper!r}"
         )
-    live = np.delete(np.arange(rs.n_models), rs.perfect)
-    norms = rs.norms[live]
-    cosines = rs.entries[np.ix_(live, live)] / np.outer(norms, norms)
-    upper_tight = not np.triu(cosines < 1.0 - TIGHT_COSINE_TOL, k=1).any()
+    floor = (1.0 - TIGHT_COSINE_TOL) * np.outer(rs.norms, rs.norms)
+    upper_tight = not np.triu(rs.entries < floor, k=1).any()
     return ScoreBounds(lower=0.0, upper=upper, actual=actual, upper_tight=upper_tight)
 
 

@@ -90,6 +90,14 @@ def project_to_simplex(v) -> np.ndarray:
     return np.maximum(arr - tau, 0.0)
 
 
+def _check_optimizer_options(max_iter: int, tol: float) -> None:
+    """The optimizer options' one rule, for every caller that takes them."""
+    if int(max_iter) < 1:
+        raise ValidationError("max_iter must be at least 1")
+    if not tol > 0.0:
+        raise ValidationError("tol must be positive")
+
+
 def _indicator(m: int, index: int) -> np.ndarray:
     w = np.zeros(m)
     w[index] = 1.0
@@ -185,10 +193,7 @@ def optimal_weights(
     ``G`` passes the row test, as it always does for a member with zero
     residual or a single model) it is returned at once with full weight.
     """
-    if int(max_iter) < 1:
-        raise ValidationError("max_iter must be at least 1")
-    if not tol > 0.0:
-        raise ValidationError("tol must be positive")
+    _check_optimizer_options(max_iter, tol)
     m = rs.n_models
     # a power of two, so that dividing by it is exact
     scale = math.ldexp(1.0, math.frexp(float(rs.scores.max()))[1] - 1)

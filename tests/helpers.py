@@ -170,19 +170,20 @@ def _pairs(m: int, keep) -> tuple[tuple[int, int], ...]:
 
 
 def witnesses_reference(rs: ResidualSet):
-    """Witness tuples of Results 1, 2 and 3, by pair loops."""
+    """Witness tuples of Results 1, 2 and 3, by pair loops.
+
+    Result 2's cosine test is Result 1's correspondence test divided by
+    ``S_m S_m' > 0``, and Result 3's is its reverse, so all three compare
+    a correspondence with the best score.
+    """
     m = rs.n_models
     entries = correspondence_matrix(rs).entries
     diag = entries.diagonal()
-    s_corr = float(diag[int(np.argmin(diag))])
-    cosines = cosine_matrix(rs)
-    scores = model_scores(rs)
-    s_min_sq = float(scores[int(np.argmin(scores))])
-    thresholds = s_min_sq / np.outer(np.sqrt(scores), np.sqrt(scores))
+    s_min_sq = float(diag[int(np.argmin(diag))])
     return (
-        _pairs(m, lambda i, j: not entries[i, j] > s_corr),
-        _pairs(m, lambda i, j: not cosines[i, j] > thresholds[i, j]),
-        _pairs(m, lambda i, j: cosines[i, j] < thresholds[i, j]),
+        _pairs(m, lambda i, j: not entries[i, j] > s_min_sq),
+        _pairs(m, lambda i, j: not entries[i, j] > s_min_sq),
+        _pairs(m, lambda i, j: entries[i, j] < s_min_sq),
     )
 
 

@@ -598,3 +598,76 @@ def test_console_script_resolves_to_a_callable():
     assert match, "pyproject.toml declares no ensdiag console script"
     module, attribute = match.groups()
     assert callable(getattr(importlib.import_module(module), attribute))
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["diagnose"],
+        ["diagnose", "--weights", "optimal"],
+        ["diagnose", "--calibration-end", "2"],
+        ["optimize"],
+        ["sweep", "--window", "2", "--stride", "1"],
+    ],
+    ids=["diagnose", "diagnose-optimal", "diagnose-calibration", "optimize", "sweep"],
+)
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--opt-max-iter", "-5", "--opt-tol", "-1"], "max_iter must be at least 1"),
+        (["--opt-max-iter", "0"], "max_iter must be at least 1"),
+        (["--opt-tol", "-1"], "tol must be positive"),
+        (["--opt-tol", "0"], "tol must be positive"),
+        (["--opt-tol", "nan"], "tol must be positive"),
+    ],
+    ids=["both", "max-iter-0", "tol-negative", "tol-0", "tol-nan"],
+)
+def test_optimizer_options_are_checked_on_every_command_that_takes_them(
+    fixture_csv, command, options, message
+):
+    argv = [command[0], "--input", str(fixture_csv), *command[1:]]
+    assert _run(argv)[0] == 0
+    assert _run([*argv, *options]) == (1, "", f"error: {message}\n")
+
+
+def _residual_csv(path, columns):
+    """A CSV with observations 0, so that each model column is its residual."""
+    names = [f"m{i}" for i in range(len(columns))]
+    rows = zip(*columns)
+    path.write_text(
+        f"t,Y,{','.join(names)}\n"
+        + "".join(f"{t},0,{','.join(map(repr, row))}\n" for t, row in enumerate(rows)),
+        encoding="utf-8",
+    )
+    code, out, err = _run(["diagnose", "--input", str(path)])
+    assert (code, err) == (0, "")
+    return json.loads(out)
+
+
+def test_result2_is_result1_where_division_by_the_scores_erases_a_one_ulp_gap(tmp_path):
+    data = _residual_csv(tmp_path / "near-tie.csv", [
+        [-1.284580778805345, -0.6616129303555477, -0.8381669607156745],
+        [-4.126986063195838, 0.9224660607301658, 2.267720258309381],
+    ])
+    assert data["correspondence"][0][1] > data["best"]["s_min_sq"]
+    assert data["result2"] == data["result1"]
+    assert (data["result2"]["hypothesis_holds"], data["result2"]["witnesses"]) == (True, [])
+
+
+def test_result3_witnesses_a_correspondence_one_ulp_below_the_best_score(tmp_path):
+    data = _residual_csv(tmp_path / "near-tie.csv", [
+        [-0.575167777202622, 0.040946287172141375, 2.0330920537185277,
+         -2.23760584483325, 0.06595710668270424],
+        [-0.7130032919635465, -2.9721435632797952, 3.015243851859436,
+         -1.3925225725236774, -0.8701884326376157],
+    ])
+    assert data["correspondence"][0][1] < data["best"]["s_min_sq"]
+    assert data["result3"]["conclusion_holds"] is True
+    assert data["result3"]["witnesses"] == [[0, 1]]
+
+
+def test_result3_does_not_witness_a_duplicated_best_member(tmp_path):
+    best = [1, 0, -2, -1, -3]
+    data = _residual_csv(tmp_path / "duplicate.csv", [best, best, [-3, -3, -2, 2, 1]])
+    assert data["correspondence"][0][1] == data["best"]["s_min_sq"] == 3.0
+    assert data["result3"]["witnesses"] == [[0, 2], [1, 2]]

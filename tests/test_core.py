@@ -166,7 +166,7 @@ def test_core_arrays_are_read_only():
 
 def test_residual_set_geometry_is_read_only_and_derived():
     rs = ResidualSet([[1.0, 2.0], [3.0, -1.0]], 2)
-    for arr in (rs.entries, rs.scores, rs.norms, rs.cosines, rs.thresholds):
+    for arr in (rs.entries, rs.scores, rs.norms, rs.cosines):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 0.0
     with pytest.raises(AttributeError):

@@ -19,7 +19,7 @@ from ensdiag import (
     schwartz_bounds,
     uniform_weights,
 )
-from helpers import random_residual_set, random_weights
+from helpers import random_residual_set, random_weights, witnesses_reference
 
 HALF = WeightVector([0.5, 0.5])
 
@@ -284,3 +284,58 @@ def test_regime_tolerances_are_checked_without_a_regime(text, tol_equal, tol_cos
         calibrate_then_validate(obs, ens, 1, **tolerances)
     report = build_report(obs, ens, uniform_weights(ens.n_models))
     assert report.regime is None
+
+
+# ---------------------------------------------------------------------------
+# Near ties: one comparison for the pair condition
+# ---------------------------------------------------------------------------
+
+
+def _near_tie_sets(seed, n):
+    """Sets of 2-4 members around a best row ``z_b`` of length 2-12: each
+    other row is ``z_b * (1 + k * 2**-52) + c * v`` with ``v`` orthogonal to
+    ``z_b``, so its correspondence with ``z_b`` lies within a few ulps of
+    ``S_min^2``."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        m, t = int(rng.integers(2, 5)), int(rng.integers(2, 13))
+        z_b = rng.normal(0.0, 1.0, t)
+        rows = [z_b]
+        for _ in range(m - 1):
+            g = rng.normal(0.0, 1.0, t)
+            v = g - (g @ z_b) / (z_b @ z_b) * z_b
+            k, c = int(rng.integers(-3, 4)), rng.uniform(0.1, 3.0)
+            rows.append(z_b * (1.0 + k * 2.0**-52) + c * v)
+        yield rng, ResidualSet(np.array(rows)[rng.permutation(m)], t)
+
+
+def _duplicated_best_sets(seed, n):
+    """Small-integer sets of 2-4 members whose best row appears twice, so that
+    a correspondence equals ``S_min^2`` exactly."""
+    rng = np.random.default_rng(seed)
+    while n:
+        m, t = int(rng.integers(1, 4)), int(rng.integers(1, 7))
+        rows = rng.integers(-3, 4, size=(m, t)).astype(np.float64)
+        if not rows.any(axis=1).all():
+            continue  # a perfect member leaves the cosines undefined
+        best = rows[np.argmin((rows**2).sum(axis=1))]
+        rows = np.vstack([rows, best])[rng.permutation(m + 1)]
+        n -= 1
+        yield rng, ResidualSet(rows, t)
+
+
+def test_pair_condition_is_one_comparison_on_near_ties():
+    sets = [*_near_tie_sets(503, 5_000), *_duplicated_best_sets(509, 1_000)]
+    for rng, rs in sets:
+        w = random_weights(rng, rs.n_models)
+        result1 = check_result1(rs, w)
+        assert check_result2(rs, w) == result1
+        assert check_result3(rs, w).witnesses == witnesses_reference(rs)[2]
+        assert not result1.hypothesis_holds or rs.best_vertex_is_optimal()
+
+        # Result 1 <=> Result 2: away from a tie, the paper's cosine
+        # inequality picks the same pairs as the correspondence form.
+        thresholds = rs.s_min_sq / np.outer(rs.norms, rs.norms)
+        clear = np.abs(rs.entries - rs.s_min_sq) > 1e-12 * rs.s_min_sq
+        assert np.array_equal((rs.cosines > thresholds)[clear], (rs.entries > rs.s_min_sq)[clear])
+        assert np.array_equal((rs.cosines < thresholds)[clear], (rs.entries < rs.s_min_sq)[clear])
