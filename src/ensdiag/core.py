@@ -47,8 +47,8 @@ WEIGHT_SUM_TOL = 1e-12
 #: inside the overshoot band are clamped, anything worse is a bug.
 COSINE_OVERSHOOT_TOL = 1e-12
 
-#: Required relative agreement between the direct and the expanded
-#: formulation of the ensemble score.
+#: Required relative agreement between two formulations of the ensemble
+#: score: the direct one against its expansion, and against its upper bound.
 SCORE_AGREEMENT_RTOL = 1e-10
 
 
@@ -150,11 +150,10 @@ class ModelEnsemble:
 
 @dataclass(frozen=True, eq=False)
 class ResidualSet:
-    """Model-minus-observation vectors, the normalization divisor, and
-    their Gram geometry.
+    """Model-minus-observation vectors and their Gram geometry.
 
-    ``n_points`` is the number of aligned time points and is the divisor
-    used by every score in this package.  The residuals are stored
+    ``n_points``, the residual length and the divisor of every score in
+    this package, is read off the residuals.  The residuals are stored
     C-ordered, so each member's row is contiguous.
 
     Construction validates the residuals and forms their geometry once,
@@ -168,7 +167,7 @@ class ResidualSet:
     """
 
     residuals: np.ndarray
-    n_points: int
+    n_points: int = field(init=False)
     entries: np.ndarray = field(init=False, repr=False)
     scores: np.ndarray = field(init=False, repr=False)
     norms: np.ndarray = field(init=False, repr=False)
@@ -181,13 +180,8 @@ class ResidualSet:
         arr = _frozen_float_array(self.residuals, "residuals", order="C")
         if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
             raise ValidationError("residuals must have shape (n_models, n_points)")
-        n = int(self.n_points)
-        if n != arr.shape[1]:
-            raise ValidationError(
-                f"n_points ({n}) must equal the residual length ({arr.shape[1]})"
-            )
         object.__setattr__(self, "residuals", arr)
-        object.__setattr__(self, "n_points", n)
+        object.__setattr__(self, "n_points", arr.shape[1])
 
         entries, scores = _correspondence_entries(self)
         norms = np.sqrt(scores)
@@ -295,7 +289,7 @@ def residuals(ensemble: ModelEnsemble, obs: ObservationSeries) -> ResidualSet:
     _check_aligned(ensemble, obs)
     with np.errstate(over="ignore"):
         z = ensemble.outputs - obs.values
-    return ResidualSet(z, obs.n_points)
+    return ResidualSet(z)
 
 
 _BLOCK = 4096  # see _mean_square
@@ -313,17 +307,14 @@ def _mean_square(z: np.ndarray) -> np.ndarray | float:
     return total / z.shape[-1]
 
 
-def model_score(z, n_points: int) -> float:
-    """Mean-squared departure of one residual vector: ``||z||^2 / n_points``."""
+def model_score(z) -> float:
+    """Mean-squared departure of one residual vector, ``||z||^2 / len(z)``:
+    the score of the one-member ResidualSet of ``z``, under the same range
+    rules (ValidationError if it overflows or a nonzero ``z`` scores 0)."""
     arr = _frozen_float_array(z, "residual vector", order="C")
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError("residual vector must be non-empty and 1-d")
-    n = int(n_points)
-    if n < 1 or n != arr.size:
-        raise ValidationError(
-            f"n_points ({n_points}) must equal the residual length ({arr.size})"
-        )
-    return float(_mean_square(arr))
+    return ResidualSet(arr[None, :]).s_min_sq
 
 
 def model_scores(rs: ResidualSet) -> np.ndarray:
@@ -332,19 +323,25 @@ def model_scores(rs: ResidualSet) -> np.ndarray:
     return rs.scores
 
 
+def _refuse_false_zeros(scores: np.ndarray, z: np.ndarray) -> None:
+    """ValidationError if a nonzero row of ``z`` (its last axis) scores 0 in
+    ``scores``, its squares underflowing; only rows that score 0 are read."""
+    zero = scores == 0.0
+    if zero.any() and z[zero].any():
+        raise ValidationError("residuals too small: a nonzero residual row scores 0")
+
+
 def _correspondence_entries(rs: ResidualSet) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric correspondence array of a set under construction and the
     direct per-model scores, which its diagonal is checked against and then
-    replaced by; ValidationError if it overflows, or if a nonzero residual
-    row scores 0, its squares underflowing."""
+    replaced by; ValidationError if it overflows or a nonzero row scores 0."""
     z = rs.residuals
     with np.errstate(over="ignore", invalid="ignore"):
         raw = (z @ z.T) / rs.n_points
         entries = 0.5 * (raw + raw.T)
         scores = _mean_square(z)
     _require_finite(entries, "correspondence entries")
-    if np.any(((scores == 0.0) | (entries.diagonal() == 0.0)) & z.any(axis=1)):
-        raise ValidationError("residuals too small: a nonzero residual row scores 0")
+    _refuse_false_zeros(np.minimum(scores, entries.diagonal()), z)
     if not np.allclose(entries.diagonal(), scores, rtol=1e-12, atol=0.0):
         raise EnsdiagError(
             "internal inconsistency: correspondence diagonal departs from "

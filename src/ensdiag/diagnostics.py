@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    SCORE_AGREEMENT_RTOL,
     ResidualSet,
     WeightVector,
     _check_weight_length,
@@ -179,7 +180,7 @@ def schwartz_bounds(rs: ResidualSet, w: WeightVector) -> ScoreBounds:
     weights = _check_weight_length(rs, w)
     upper = float(weights @ rs.norms) ** 2
     actual = ensemble_score(rs, w)
-    if actual > upper + 1e-10 * max(upper, actual):
+    if actual > upper + SCORE_AGREEMENT_RTOL * max(upper, actual):
         raise EnsdiagError(
             f"internal inconsistency: ensemble score {actual!r} exceeds its "
             f"upper bound {upper!r}"

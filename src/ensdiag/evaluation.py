@@ -24,6 +24,7 @@ from .core import (
     WeightVector,
     _check_aligned,
     _mean_square,
+    _refuse_false_zeros,
     average_residual,
     ensemble_score,
     model_scores,  # unused here; perfbench/worker.py traces it by name
@@ -106,7 +107,9 @@ def sweep_best_model(
     stride: int,
     w: WeightVector,
 ) -> list[SweepRow]:
-    """Evaluate every window position; a trailing partial window is dropped."""
+    """Evaluate every window position; a trailing partial window is dropped.
+    As in a ResidualSet, a window in which a nonzero member or average
+    residual scores 0, its squares underflowing, raises ValidationError."""
     full = residuals(ens, obs)
     window = int(window)
     stride = int(stride)
@@ -122,6 +125,8 @@ def sweep_best_model(
     zbar = sliding_window_view(average_residual(full, w), window)[::stride]
     scores = _mean_square(z)
     s_sq = _mean_square(zbar)
+    _refuse_false_zeros(scores, z)
+    _refuse_false_zeros(s_sq, zbar)
     best = np.argmin(scores, axis=0)  # ties resolve to the lowest index
     s_min_sq = scores[best, np.arange(best.size)]
     starts = obs.times[: obs.n_points - window + 1 : stride].tolist()

@@ -153,34 +153,29 @@ def _greedy_subset(entries: np.ndarray, k: int) -> tuple[int, ...]:
     return tuple(sorted(chosen))
 
 
-def anti_correlated_subset(
-    rs: ResidualSet, k: int, method: str = "auto"
-) -> SelectionReport:
+def anti_correlated_subset(rs: ResidualSet, k: int) -> SelectionReport:
     """Pick ``k`` models whose residuals disagree as much as possible.
 
     Minimizes the uniform-weight cross-term sum
     ``sum_{m != m'} (1/k^2) * R[m, m']`` over size-``k`` subsets:
-    exhaustively while the subset count permits, by greedy forward
-    selection from the least-correspondent pair otherwise.  Ties resolve
-    to the lexicographically smallest index set.  Entries so large that
-    ``k**2`` of them could overflow a sum raise ValidationError.
+    exhaustively while ``C(M, k) <= EXHAUSTIVE_LIMIT``, by greedy forward
+    selection from the least-correspondent pair otherwise (the report's
+    criterion names which).  Ties resolve to the lexicographically smallest
+    index set.  Entries so large that ``k**2`` of them could overflow a sum
+    raise ValidationError.
     """
     m = rs.n_models
     k = int(k)
     if not 2 <= k <= m:
         raise ValidationError(f"k must lie in [2, {m}]; got {k}")
-    if method not in ("auto", "exhaustive", "greedy"):
-        raise ValidationError("method must be 'auto', 'exhaustive', or 'greedy'")
     entries = rs.entries
     # every partial sum of the search is bounded by k^2 max|R|
     if not math.isfinite(k * k * float(np.abs(entries).max())):
         raise ValidationError(f"correspondence entries are too large to sum over {k} models")
-    if method == "auto":
-        method = "exhaustive" if math.comb(m, k) <= EXHAUSTIVE_LIMIT else "greedy"
-    if method == "exhaustive":
-        subset = _exhaustive_subset(entries, k)
+    if math.comb(m, k) <= EXHAUSTIVE_LIMIT:
+        method, subset = "exhaustive", _exhaustive_subset(entries, k)
     else:
-        subset = _greedy_subset(entries, k)
+        method, subset = "greedy", _greedy_subset(entries, k)
     kept = tuple(sorted(subset))
     dropped = tuple(i for i in range(m) if i not in subset)
     objective = _cross_sum(entries, kept) / (k * k)

@@ -44,7 +44,7 @@ from ensdiag.report import _parse_time, _parse_value
 def random_residual_set(rng, m_range=(2, 8), t_range=(2, 64), scale=10.0):
     m = int(rng.integers(m_range[0], m_range[1] + 1))
     t = int(rng.integers(t_range[0], t_range[1] + 1))
-    return ResidualSet(rng.uniform(-scale, scale, size=(m, t)), t)
+    return ResidualSet(rng.uniform(-scale, scale, size=(m, t)))
 
 
 def random_weights(rng, n_models):
@@ -152,7 +152,7 @@ def illcond_residual_set(rng, m: int, sigma: float, t: int = 500) -> ResidualSet
     ``1 / sigma**2``."""
     loading = rng.permutation(np.linspace(-0.5, 1.5, m))[:, None]
     z = loading * rng.normal(0.0, 1.0, t) + sigma * rng.normal(0.0, 1.0, (m, t))
-    return ResidualSet(z, t)
+    return ResidualSet(z)
 
 
 def dyadic_array(rng, shape, denominator=1024, span=10_000):
@@ -249,7 +249,7 @@ def sweep_reference(obs, ens, window: int, stride: int, w) -> list[SweepRow]:
     full = residuals(ens, obs)
     rows = []
     for start in range(0, obs.n_points - window + 1, stride):
-        rs = ResidualSet(full.residuals[:, start : start + window], window)
+        rs = ResidualSet(full.residuals[:, start : start + window])
         scores = model_scores(rs)
         best = int(np.argmin(scores))
         s_min_sq = float(scores[best])

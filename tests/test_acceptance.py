@@ -90,7 +90,7 @@ def test_criterion_3_bounds_and_sharpness(population):
         m = int(rng.integers(2, 9))
         base = rng.uniform(-10.0, 10.0, size=t)
         factors = rng.uniform(0.1, 10.0, size=m)
-        rs = ResidualSet(np.outer(factors, base), t)
+        rs = ResidualSet(np.outer(factors, base))
         w = random_weights(rng, m)
         bounds = schwartz_bounds(rs, w)
         assert bounds.actual == pytest.approx(bounds.upper, rel=1e-10)
@@ -119,13 +119,13 @@ def test_criterion_4_expansion_identity(population):
 
 
 def test_criterion_5_figure_scenario_fixtures():
-    collinear = ResidualSet([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0], [3.0, 3.0, 3.0]], 3)
+    collinear = ResidualSet([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0], [3.0, 3.0, 3.0]])
     s_sq = ensemble_score(collinear, uniform_weights(3))
     s_min_sq = float(model_scores(collinear).min())
     assert s_sq >= s_min_sq - 1e-12
     assert s_sq == 4.0 and s_min_sq == 1.0
 
-    opposing = ResidualSet([[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]], 3)
+    opposing = ResidualSet([[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]])
     s_sq2 = ensemble_score(opposing, uniform_weights(2))
     s_min_sq2 = float(model_scores(opposing).min())
     assert s_sq2 <= s_min_sq2 + 1e-12
@@ -182,11 +182,11 @@ def test_criterion_8_disjoint_window_consistency():
         n_windows = int(rng.integers(1, 9))
         t = window * n_windows
         m = int(rng.integers(1, 6))
-        rs = ResidualSet(rng.uniform(-10.0, 10.0, size=(m, t)), t)
+        rs = ResidualSet(rng.uniform(-10.0, 10.0, size=(m, t)))
         for row in range(m):
-            whole = model_score(rs.residuals[row], t)
+            whole = model_score(rs.residuals[row])
             windowed = [
-                model_score(rs.residuals[row, s : s + window], window)
+                model_score(rs.residuals[row, s : s + window])
                 for s in range(0, t, window)
             ]
             weighted_mean = sum(window / t * value for value in windowed)

@@ -204,6 +204,23 @@ def test_sweep_window_too_long_is_data_error(fixture_csv):
     assert "window" in err
 
 
+# member a's first three residuals, 1e-170, square to 0
+FALSE_ZERO = "t,Y,a,b\n" + "".join(
+    f"{t},0,{a},{b}\n" for t, a, b in [(0, 1e-170, 1), (1, 1e-170, 1), (2, 1e-170, 1), (3, 1, 1), (4, 1, 1), (5, 1, 2)]
+)
+
+
+@pytest.mark.parametrize("window, stride", [("3", "3"), ("1", "1")])
+def test_sweep_window_whose_nonzero_residuals_score_zero_is_data_error(tmp_path, window, stride):
+    path = tmp_path / "false_zero.csv"
+    path.write_text(FALSE_ZERO, encoding="utf-8")
+    code, out, err = _run(["sweep", "--input", str(path), "--window", window, "--stride", stride])
+    assert (code, out, err) == (1, "", "error: residuals too small: a nonzero residual row scores 0\n")
+    code, out, err = _run(["sweep", "--input", str(path), "--window", "6", "--stride", "1"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["rows"][0]["s_min_sq"] > 0.0
+
+
 def test_unknown_command_is_usage_error():
     code = run_command(["frobnicate"], stdout=io.StringIO(), stderr=io.StringIO())
     assert code == 2
@@ -224,6 +241,67 @@ def test_malformed_csv_is_data_error(tmp_path):
     code, _, err = _run(["diagnose", "--input", str(path)])
     assert code == 1
     assert "row 2" in err
+
+
+@pytest.mark.parametrize(
+    "text, message", [("", "input is empty"), ("t,Y,a\n", "no data rows")], ids=["empty", "header-only"]
+)
+def test_csv_without_data_is_a_one_line_data_error(tmp_path, text, message):
+    path = tmp_path / "empty.csv"
+    path.write_text(text, encoding="utf-8")
+    assert _run(["diagnose", "--input", str(path)]) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ("[true]", "must hold a JSON array of numbers"),
+        ("[0.5, 0.5]", "has 2 entries but the ensemble has 3 models"),
+    ],
+    ids=["bool", "wrong-length"],
+)
+def test_weight_file_of_the_wrong_kind_is_a_one_line_data_error(fixture_csv, tmp_path, weights, message):
+    path = tmp_path / "w.json"
+    path.write_text(weights, encoding="utf-8")
+    code, out, err = _run(["diagnose", "--input", str(fixture_csv), "--weights", f"@{path}"])
+    assert (code, out, err) == (1, "", f"error: weight file {str(path)!r} {message}\n")
+
+
+def _scaled(factor):
+    return lambda fn: lambda *args: fn(*args) * factor
+
+
+def _overshooting(fn):
+    def entries_and_scores(rs):
+        entries, scores = fn(rs)
+        entries[0, 1] = entries[1, 0] = 1.01 * np.sqrt(scores[0] * scores[1])
+        return entries, scores
+
+    return entries_and_scores
+
+
+@pytest.mark.parametrize(
+    "module, name, fault, message",
+    [
+        ("core", "_mean_square", _scaled(1 + 1e-9), "correspondence diagonal departs"),
+        ("core", "_correspondence_entries", _overshooting, "cosine overshoot"),
+        ("core", "average_residual", _scaled(1 + 1e-6), "direct ensemble score"),
+        ("diagnostics", "ensemble_score", _scaled(1.01), "exceeds its upper bound"),
+    ],
+    ids=["diagonal", "cosine-overshoot", "expansion", "upper-bound"],
+)
+def test_each_internal_cross_check_fires_on_an_injected_fault(monkeypatch, tmp_path, module, name, fault, message):
+    # collinear members, so the ensemble score attains its upper bound
+    path = tmp_path / "collinear.csv"
+    path.write_text("t,Y,a,b\n0,0,1,2\n1,0,1,2\n", encoding="utf-8")
+    target = importlib.import_module(f"ensdiag.{module}")
+    monkeypatch.setattr(target, name, fault(getattr(target, name)))
+    obs, ens = ensdiag.parse_ensemble_csv(path.read_text(encoding="utf-8"))
+    with pytest.raises(ensdiag.EnsdiagError, match=f"^internal inconsistency: .*{message}"):
+        ensdiag.build_report(obs, ens, ensdiag.uniform_weights(2))
+    code, out, err = _run(["diagnose", "--input", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: internal inconsistency: ") and err.count("\n") == 1
 
 
 @pytest.mark.filterwarnings("error")

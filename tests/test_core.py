@@ -109,9 +109,9 @@ def test_model_ensemble_rejects_ragged_outputs():
         (lambda: WeightVector(["x"]), "weights must be a rectangular"),
         (lambda: WeightVector([{}]), "weights must be a rectangular"),
         (lambda: WeightVector([10**400]), "weights must be finite"),
-        (lambda: ResidualSet([[1, 2], [3]], 2), "residuals must be a rectangular"),
+        (lambda: ResidualSet([[1, 2], [3]]), "residuals must be a rectangular"),
         (lambda: CorrespondenceMatrix([["a"]]), "correspondence entries must be a rectangular"),
-        (lambda: model_score(["x"], 1), "residual vector must be a rectangular"),
+        (lambda: model_score(["x"]), "residual vector must be a rectangular"),
     ],
     ids=[
         "obs-strings", "obs-ragged", "times-ragged", "outputs-strings", "weights-string",
@@ -124,10 +124,33 @@ def test_array_records_reject_unconvertible_input(make, message):
         make()
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: ObservationSeries(["a", "b"], [1.0, 2.0]), "times must be integers"),
+        (lambda: ObservationSeries([0, 1, 2], [1.0, 2.0]), "times and values must have the same length"),
+        (lambda: ModelEnsemble((), np.empty((0, 2))), "at least one model is required"),
+        (lambda: ModelEnsemble(("a",), [1.0, 2.0]), r"outputs must have shape \(n_models, n_points\)"),
+        (lambda: ModelEnsemble(("a", "b"), [[1.0, 2.0]]), "one output series is required per model name"),
+        (lambda: ModelEnsemble(("a",), [[]]), "model output series must be non-empty"),
+        (lambda: ResidualSet([1.0, 2.0]), r"residuals must have shape \(n_models, n_points\)"),
+        (lambda: WeightVector([[0.5, 0.5]]), "weights must be a non-empty 1-d sequence"),
+        (lambda: CorrespondenceMatrix([[1.0, 0.0]]), "correspondence entries must form a square matrix"),
+    ],
+    ids=[
+        "times-strings", "values-length", "no-names", "outputs-1d", "count-mismatch",
+        "empty-series", "residuals-1d", "weights-2d", "entries-not-square",
+    ],
+)
+def test_array_records_reject_malformed_shapes(make, message):
+    with pytest.raises(ValidationError, match=message):
+        make()
+
+
 def test_array_records_keep_their_memory_layout():
     outputs = np.asfortranarray([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     assert ModelEnsemble(("a", "b"), outputs).outputs.flags.f_contiguous
-    assert ResidualSet(outputs, 3).residuals.flags.c_contiguous
+    assert ResidualSet(outputs).residuals.flags.c_contiguous
 
 
 def test_model_ensemble_allows_duplicate_series():
@@ -143,11 +166,6 @@ def test_weight_vector_invariants():
         WeightVector([0.6, 0.6])
 
 
-def test_residual_set_divisor_must_match_length():
-    with pytest.raises(ValidationError):
-        ResidualSet([[1.0, 2.0]], 3)
-
-
 def test_correspondence_matrix_type_rejects_asymmetry():
     with pytest.raises(ValidationError):
         CorrespondenceMatrix([[1.0, 0.5], [0.4, 1.0]])
@@ -159,20 +177,20 @@ def test_correspondence_matrix_type_rejects_indefinite():
 
 
 def test_core_arrays_are_read_only():
-    rs = ResidualSet([[1.0, 2.0]], 2)
+    rs = ResidualSet([[1.0, 2.0]])
     with pytest.raises(ValueError):
         rs.residuals[0, 0] = 3.0
 
 
 def test_residual_set_geometry_is_read_only_and_derived():
-    rs = ResidualSet([[1.0, 2.0], [3.0, -1.0]], 2)
+    rs = ResidualSet([[1.0, 2.0], [3.0, -1.0]])
     for arr in (rs.entries, rs.scores, rs.norms, rs.cosines):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 0.0
     with pytest.raises(AttributeError):
         rs.best = 1
     with pytest.raises(TypeError):
-        ResidualSet([[1.0, 2.0]], 2, entries=np.eye(1))
+        ResidualSet([[1.0, 2.0]], entries=np.eye(1))
     assert model_scores(rs) is rs.scores
     assert np.array_equal(rs.entries.diagonal(), rs.scores)
     assert (rs.best, rs.s_min_sq, rs.perfect) == (0, 2.5, ())
@@ -243,18 +261,36 @@ def test_residuals_reconstruction_exact_on_dyadic_data():
 
 
 def test_model_score_examples():
-    assert model_score([0.0, 0.0], 2) == 0.0
-    assert model_score([1.0, 1.0], 2) == pytest.approx(score_oracle([1.0, 1.0]), rel=1e-15)
-    assert model_score([2.0, 2.0], 2) == pytest.approx(score_oracle([2.0, 2.0]), rel=1e-15)
-    assert model_score([1.0, 1.0], 2) == 1.0
-    assert model_score([2.0, 2.0], 2) == 4.0
+    assert model_score([0.0, 0.0]) == 0.0
+    assert model_score([1.0, 1.0]) == pytest.approx(score_oracle([1.0, 1.0]), rel=1e-15)
+    assert model_score([2.0, 2.0]) == pytest.approx(score_oracle([2.0, 2.0]), rel=1e-15)
+    assert model_score([1.0, 1.0]) == 1.0
+    assert model_score([2.0, 2.0]) == 4.0
 
 
-def test_model_score_rejects_empty_and_mismatched():
+def test_model_score_rejects_empty():
     with pytest.raises(ValidationError):
-        model_score([], 0)
-    with pytest.raises(ValidationError):
-        model_score([1.0, 2.0], 3)
+        model_score([])
+
+
+@pytest.mark.parametrize(
+    "z, message",
+    [
+        ([1e200, 1e200], "correspondence entries must be finite"),
+        ([1e-200, 1e-200], "residuals too small: a nonzero residual row scores 0"),
+    ],
+    ids=["overflow", "underflow"],
+)
+def test_model_score_follows_the_residual_set_range_rules(z, message):
+    with pytest.raises(ValidationError, match=message):
+        model_score(z)
+
+
+def test_model_score_is_the_set_score_bit_for_bit():
+    rng = np.random.default_rng(113)
+    for t in (1, 7, 4096, 4097, 10_000):  # one block, two, and more
+        rs = random_residual_set(rng, m_range=(3, 3), t_range=(t, t))
+        assert [model_score(row) for row in rs.residuals] == rs.scores.tolist()
 
 
 def test_model_scores_matches_scalar_op():
@@ -263,7 +299,7 @@ def test_model_scores_matches_scalar_op():
     per_model = model_scores(rs)
     for m in range(rs.n_models):
         assert per_model[m] == pytest.approx(
-            model_score(rs.residuals[m], rs.n_points), rel=1e-14
+            model_score(rs.residuals[m]), rel=1e-14
         )
 
 
@@ -273,14 +309,14 @@ def test_model_scores_matches_scalar_op():
 
 
 def test_correspondence_examples():
-    r = correspondence_matrix(ResidualSet([[1.0, 1.0], [2.0, 2.0]], 2)).entries
+    r = correspondence_matrix(ResidualSet([[1.0, 1.0], [2.0, 2.0]])).entries
     assert r[0, 1] == pytest.approx(correspondence_oracle([1, 1], [2, 2]), rel=1e-15)
     assert r[0, 1] == 2.0
 
-    r = correspondence_matrix(ResidualSet([[1.0, 0.0], [0.0, 1.0]], 2)).entries
+    r = correspondence_matrix(ResidualSet([[1.0, 0.0], [0.0, 1.0]])).entries
     assert r[0, 1] == 0.0
 
-    r = correspondence_matrix(ResidualSet([[1.0, 1.0], [-1.0, -1.0]], 2)).entries
+    r = correspondence_matrix(ResidualSet([[1.0, 1.0], [-1.0, -1.0]])).entries
     assert r[0, 1] == pytest.approx(correspondence_oracle([1, 1], [-1, -1]), rel=1e-15)
     assert r[0, 1] == -1.0
 
@@ -300,16 +336,16 @@ def test_correspondence_diagonal_is_scores():
 
 
 def test_cosine_examples():
-    cos = cosine_matrix(ResidualSet([[1.0, 1.0], [2.0, 2.0]], 2))
+    cos = cosine_matrix(ResidualSet([[1.0, 1.0], [2.0, 2.0]]))
     assert cos[0, 1] == 1.0
-    cos = cosine_matrix(ResidualSet([[1.0, 1.0], [-1.0, -1.0]], 2))
+    cos = cosine_matrix(ResidualSet([[1.0, 1.0], [-1.0, -1.0]]))
     assert cos[0, 1] == -1.0
-    cos = cosine_matrix(ResidualSet([[1.0, 0.0], [0.0, 1.0]], 2))
+    cos = cosine_matrix(ResidualSet([[1.0, 0.0], [0.0, 1.0]]))
     assert cos[0, 1] == 0.0
 
 
 def test_cosine_perfect_model_error_names_member():
-    rs = ResidualSet([[1.0, 1.0], [0.0, 0.0]], 2)
+    rs = ResidualSet([[1.0, 1.0], [0.0, 0.0]])
     with pytest.raises(PerfectModelError) as excinfo:
         cosine_matrix(rs)
     assert excinfo.value.indices == (1,)
@@ -334,10 +370,10 @@ def test_cosine_entries_bounded_and_diagonal_one(data):
 
 def test_average_residual_examples():
     half = WeightVector([0.5, 0.5])
-    avg = average_residual(ResidualSet([[1.0, 1.0], [-1.0, -1.0]], 2), half)
+    avg = average_residual(ResidualSet([[1.0, 1.0], [-1.0, -1.0]]), half)
     assert np.array_equal(avg, [0.0, 0.0])
 
-    rs = ResidualSet([[1.0, 1.0], [2.0, 2.0]], 2)
+    rs = ResidualSet([[1.0, 1.0], [2.0, 2.0]])
     avg = average_residual(rs, half)
     assert np.array_equal(avg, weighted_residual_oracle(rs.residuals, [0.5, 0.5]))
     assert np.array_equal(avg, [1.5, 1.5])
@@ -354,15 +390,15 @@ def test_average_residual_indicator_reproduces_member():
 
 
 def test_average_residual_dimension_mismatch():
-    rs = ResidualSet([[1.0, 1.0], [2.0, 2.0]], 2)
+    rs = ResidualSet([[1.0, 1.0], [2.0, 2.0]])
     with pytest.raises(ValidationError):
         average_residual(rs, WeightVector([1.0]))
 
 
 def test_ensemble_score_examples():
     half = WeightVector([0.5, 0.5])
-    assert ensemble_score(ResidualSet([[1.0, 1.0], [2.0, 2.0]], 2), half) == 2.25
-    assert ensemble_score(ResidualSet([[1.0, 1.0], [-1.0, -1.0]], 2), half) == 0.0
+    assert ensemble_score(ResidualSet([[1.0, 1.0], [2.0, 2.0]]), half) == 2.25
+    assert ensemble_score(ResidualSet([[1.0, 1.0], [-1.0, -1.0]]), half) == 0.0
 
 
 def test_ensemble_score_indicator_equals_member_score():
@@ -387,11 +423,11 @@ def test_member_score_identity_is_exact(order):
         m = int(rng.integers(2, 9))
         t = int(rng.integers(*t_range))
         z = np.asarray(rng.uniform(-10.0, 10.0, size=(m, t)), order=order)
-        rs = ResidualSet(z, t)
+        rs = ResidualSet(z)
         scores = model_scores(rs)
         for b in range(m):
             e_b = WeightVector(np.eye(m)[b])
-            assert ensemble_score(rs, e_b) == scores[b] == model_score(z[b], t)
+            assert ensemble_score(rs, e_b) == scores[b] == model_score(z[b])
         e_best = WeightVector(np.eye(m)[int(np.argmin(scores))])
         assert not check_result3(rs, e_best).hypothesis_holds
 

@@ -30,7 +30,7 @@ HALF = WeightVector([0.5, 0.5])
 
 
 def test_result1_collinear_dominated():
-    verdict = check_result1(ResidualSet([[1.0, 1.0], [2.0, 2.0]], 2), HALF)
+    verdict = check_result1(ResidualSet([[1.0, 1.0], [2.0, 2.0]]), HALF)
     assert verdict.hypothesis_holds
     assert verdict.conclusion_holds
     assert verdict.witnesses == ()
@@ -40,7 +40,7 @@ def test_result1_collinear_dominated():
 
 
 def test_result1_opposing_pair():
-    verdict = check_result1(ResidualSet([[1.0, 1.0], [-1.0, -1.0]], 2), HALF)
+    verdict = check_result1(ResidualSet([[1.0, 1.0], [-1.0, -1.0]]), HALF)
     assert not verdict.hypothesis_holds
     assert not verdict.conclusion_holds
     assert verdict.witnesses == ((0, 1),)
@@ -49,7 +49,7 @@ def test_result1_opposing_pair():
 
 def test_result1_identical_models_tie():
     # correspondence ties the best score exactly; strict hypothesis fails
-    verdict = check_result1(ResidualSet([[1.0, 1.0], [1.0, 1.0]], 2), HALF)
+    verdict = check_result1(ResidualSet([[1.0, 1.0], [1.0, 1.0]]), HALF)
     assert not verdict.hypothesis_holds
     assert verdict.witnesses == ((0, 1),)
     assert not verdict.conclusion_holds
@@ -58,7 +58,7 @@ def test_result1_identical_models_tie():
 
 def test_result1_requires_two_models():
     with pytest.raises(ValidationError):
-        check_result1(ResidualSet([[1.0, 1.0]], 2), WeightVector([1.0]))
+        check_result1(ResidualSet([[1.0, 1.0]]), WeightVector([1.0]))
 
 
 def test_result1_theorem_never_violated():
@@ -80,25 +80,25 @@ def test_result1_theorem_never_violated():
 
 
 def test_result2_collinear_dominated():
-    verdict = check_result2(ResidualSet([[1.0, 1.0], [2.0, 2.0]], 2), HALF)
+    verdict = check_result2(ResidualSet([[1.0, 1.0], [2.0, 2.0]]), HALF)
     assert verdict.hypothesis_holds  # cos 1 > threshold 1/2
     assert verdict.conclusion_holds
 
 
 def test_result2_orthogonal_equal_scores():
-    verdict = check_result2(ResidualSet([[1.0, 0.0], [0.0, 1.0]], 2), HALF)
+    verdict = check_result2(ResidualSet([[1.0, 0.0], [0.0, 1.0]]), HALF)
     assert not verdict.hypothesis_holds  # cos 0 below threshold 1
     assert verdict.witnesses == ((0, 1),)
 
 
 def test_result2_identical_models_tie_matches_result1():
-    rs = ResidualSet([[1.0, 1.0], [1.0, 1.0]], 2)
+    rs = ResidualSet([[1.0, 1.0], [1.0, 1.0]])
     assert not check_result2(rs, HALF).hypothesis_holds
     assert not check_result1(rs, HALF).hypothesis_holds
 
 
 def test_result2_perfect_member_raises():
-    rs = ResidualSet([[1.0, 1.0], [0.0, 0.0]], 2)
+    rs = ResidualSet([[1.0, 1.0], [0.0, 0.0]])
     with pytest.raises(PerfectModelError):
         check_result2(rs, HALF)
 
@@ -125,7 +125,7 @@ def test_permuted_member_gives_every_verdict_one_best_member():
         z = rng.normal(size=(m, t))
         z[0] *= 0.5
         z[1] = rng.permutation(z[0])
-        rs = ResidualSet(z, t)
+        rs = ResidualSet(z)
         w = random_weights(rng, m)
         verdicts = (check_result1(rs, w), check_result2(rs, w), check_result3(rs, w))
         assert {v.best_model_index for v in verdicts} == {rs.best}
@@ -139,19 +139,26 @@ def test_permuted_member_gives_every_verdict_one_best_member():
 
 
 def test_result3_opposing_pair():
-    verdict = check_result3(ResidualSet([[1.0, 1.0], [-1.0, -1.0]], 2), HALF)
+    verdict = check_result3(ResidualSet([[1.0, 1.0], [-1.0, -1.0]]), HALF)
     assert verdict.hypothesis_holds  # 0 < 1
     assert verdict.conclusion_holds
     assert (0, 1) in verdict.witnesses
 
 
 def test_result3_vacuous_when_average_loses():
-    verdict = check_result3(ResidualSet([[1.0, 1.0], [2.0, 2.0]], 2), HALF)
+    verdict = check_result3(ResidualSet([[1.0, 1.0], [2.0, 2.0]]), HALF)
     assert not verdict.hypothesis_holds  # 2.25 > 1
 
 
+def test_result3_perfect_member_raises():
+    rs = ResidualSet([[1.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(PerfectModelError) as excinfo:
+        check_result3(rs, HALF)
+    assert excinfo.value.indices == (1,)
+
+
 def test_result3_orthogonal_pair():
-    verdict = check_result3(ResidualSet([[1.0, 0.0], [0.0, 1.0]], 2), HALF)
+    verdict = check_result3(ResidualSet([[1.0, 0.0], [0.0, 1.0]]), HALF)
     assert verdict.s_sq == 0.25
     assert verdict.s_min_sq == 0.5
     assert verdict.hypothesis_holds
@@ -179,7 +186,7 @@ def test_result3_witness_always_exists_when_average_wins():
 
 
 def test_bounds_collinear_tight():
-    bounds = schwartz_bounds(ResidualSet([[1.0, 1.0], [2.0, 2.0]], 2), HALF)
+    bounds = schwartz_bounds(ResidualSet([[1.0, 1.0], [2.0, 2.0]]), HALF)
     assert bounds.lower == 0.0
     assert bounds.upper == pytest.approx(2.25, rel=1e-15)
     assert bounds.actual == pytest.approx(2.25, rel=1e-15)
@@ -187,14 +194,14 @@ def test_bounds_collinear_tight():
 
 
 def test_bounds_opposing_lower_attained():
-    bounds = schwartz_bounds(ResidualSet([[1.0, 1.0], [-1.0, -1.0]], 2), HALF)
+    bounds = schwartz_bounds(ResidualSet([[1.0, 1.0], [-1.0, -1.0]]), HALF)
     assert bounds.upper == pytest.approx(1.0, rel=1e-15)
     assert bounds.actual == 0.0
     assert not bounds.upper_tight
 
 
 def test_bounds_identical_models():
-    rs = ResidualSet([[1.0, 1.0]] * 4, 2)
+    rs = ResidualSet([[1.0, 1.0]] * 4)
     w = WeightVector([0.1, 0.2, 0.3, 0.4])
     bounds = schwartz_bounds(rs, w)
     assert bounds.actual == pytest.approx(1.0, rel=1e-12)
@@ -219,7 +226,7 @@ def test_bounds_sharp_for_scaled_vectors():
         m = int(rng.integers(2, 8))
         base = rng.uniform(-10, 10, size=t)
         factors = rng.uniform(0.1, 10.0, size=m)
-        rs = ResidualSet(np.outer(factors, base), t)
+        rs = ResidualSet(np.outer(factors, base))
         w = random_weights(rng, m)
         bounds = schwartz_bounds(rs, w)
         assert bounds.actual == pytest.approx(bounds.upper, rel=1e-10)
@@ -228,7 +235,7 @@ def test_bounds_sharp_for_scaled_vectors():
 
 def test_bounds_tight_with_perfect_member():
     # zero-residual members cannot spoil tightness and must not raise
-    rs = ResidualSet([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], 2)
+    rs = ResidualSet([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
     bounds = schwartz_bounds(rs, WeightVector([0.2, 0.4, 0.4]))
     assert bounds.upper_tight
     assert bounds.actual == pytest.approx(bounds.upper, rel=1e-12)
@@ -240,30 +247,30 @@ def test_bounds_tight_with_perfect_member():
 
 
 def test_regime_equally_good_low_correspondence():
-    rs = ResidualSet([[1.0, 0.0], [0.0, 1.0]], 2)
+    rs = ResidualSet([[1.0, 0.0], [0.0, 1.0]])
     assert classify_regime(rs, 0.05, 0.1) is Regime.EQUALLY_GOOD_LOW_CORRESPONDENCE
 
 
 def test_regime_dominant_best():
-    rs = ResidualSet([[0.1, 0.1], [5.0, 5.0], [6.0, 6.0]], 2)
+    rs = ResidualSet([[0.1, 0.1], [5.0, 5.0], [6.0, 6.0]])
     assert classify_regime(rs) is Regime.DOMINANT_BEST_POSITIVE_CORRESPONDENCE
 
 
 def test_regime_neither_under_defaults():
-    rs = ResidualSet([[1.0, 1.0], [2.0, 2.0]], 2)
+    rs = ResidualSet([[1.0, 1.0], [2.0, 2.0]])
     assert classify_regime(rs) is Regime.NEITHER
 
 
 def test_regime_validates_inputs():
-    rs = ResidualSet([[1.0, 0.0], [0.0, 1.0]], 2)
+    rs = ResidualSet([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValidationError):
         classify_regime(rs, 0.0, 0.1)
     with pytest.raises(ValidationError):
         classify_regime(rs, 0.05, 1.0)
     with pytest.raises(ValidationError):
-        classify_regime(ResidualSet([[1.0, 0.0]], 2))
+        classify_regime(ResidualSet([[1.0, 0.0]]))
     with pytest.raises(PerfectModelError):
-        classify_regime(ResidualSet([[0.0, 0.0], [1.0, 1.0]], 2))
+        classify_regime(ResidualSet([[0.0, 0.0], [1.0, 1.0]]))
 
 
 # A perfect member, and a single model: inputs with no regime to classify.
@@ -306,7 +313,7 @@ def _near_tie_sets(seed, n):
             v = g - (g @ z_b) / (z_b @ z_b) * z_b
             k, c = int(rng.integers(-3, 4)), rng.uniform(0.1, 3.0)
             rows.append(z_b * (1.0 + k * 2.0**-52) + c * v)
-        yield rng, ResidualSet(np.array(rows)[rng.permutation(m)], t)
+        yield rng, ResidualSet(np.array(rows)[rng.permutation(m)])
 
 
 def _duplicated_best_sets(seed, n):
@@ -321,7 +328,7 @@ def _duplicated_best_sets(seed, n):
         best = rows[np.argmin((rows**2).sum(axis=1))]
         rows = np.vstack([rows, best])[rng.permutation(m + 1)]
         n -= 1
-        yield rng, ResidualSet(rows, t)
+        yield rng, ResidualSet(rows)
 
 
 def test_pair_condition_is_one_comparison_on_near_ties():

@@ -17,7 +17,7 @@ from ensdiag import (
     sweep_best_model,
     uniform_weights,
 )
-from helpers import random_weights
+from helpers import random_weights, sweep_reference
 
 
 def _aligned(rng, n_models, n_points, t0=0):
@@ -152,13 +152,39 @@ def test_disjoint_windows_average_to_whole_interval_score():
         obs, ens = _aligned(rng, int(rng.integers(1, 5)), t)
         rs = residuals(ens, obs)
         for m in range(ens.n_models):
-            whole = model_score(rs.residuals[m], t)
+            whole = model_score(rs.residuals[m])
             parts = [
-                model_score(rs.residuals[m, s : s + window], window)
+                model_score(rs.residuals[m, s : s + window])
                 for s in range(0, t, window)
             ]
             weighted_mean = sum(window / t * p for p in parts)
             assert weighted_mean == pytest.approx(whole, rel=1e-10)
+
+
+TOO_SMALL = "residuals too small: a nonzero residual row scores 0"
+
+
+def _false_zero_data(a, b):
+    return ObservationSeries(range(6), [0.0] * 6), ModelEnsemble(("a", "b"), [a, b])
+
+
+@pytest.mark.parametrize("window, stride", [(3, 3), (1, 1), (2, 1)])
+def test_sweep_refuses_a_member_window_whose_nonzero_residuals_score_zero(window, stride):
+    # member a's first three residuals square to 0, so it would be a perfect best member
+    obs, ens = _false_zero_data([1e-170] * 3 + [1.0] * 3, [1.0] * 5 + [2.0])
+    for sweep in (sweep_best_model, sweep_reference):
+        with pytest.raises(ValidationError, match=TOO_SMALL):
+            sweep(obs, ens, window, stride, uniform_weights(2))
+    assert len(sweep_best_model(obs, ens, 6, 1, uniform_weights(2))) == 1
+
+
+def test_sweep_refuses_an_average_window_whose_nonzero_residual_scores_zero():
+    # each member scores about 1e-320 on the first window; their average,
+    # about 1e-170, squares to 0 and would win with a false score of 0
+    obs, ens = _false_zero_data([1e-160] * 3 + [1.0] * 3, [-1e-160 + 2e-170] * 3 + [1.0, 1.0, 2.0])
+    with pytest.raises(ValidationError, match=TOO_SMALL):
+        sweep_best_model(obs, ens, 3, 3, uniform_weights(2))
+    assert len(sweep_best_model(obs, ens, 6, 1, uniform_weights(2))) == 1
 
 
 def test_sweep_average_wins_matches_result3_hypothesis():
@@ -169,7 +195,7 @@ def test_sweep_average_wins_matches_result3_hypothesis():
     rs = residuals(ens, obs)
     for index, row in enumerate(rows):
         start = index * 4
-        window_rs = type(rs)(rs.residuals[:, start : start + 4], 4)
+        window_rs = type(rs)(rs.residuals[:, start : start + 4])
         verdict = check_result3(window_rs, w)
         assert row.average_wins == verdict.hypothesis_holds
 

@@ -57,7 +57,7 @@ def _residual_sets(seed, n=300, zero_rows=False):
         m = int(rng.integers(2, 6))
         t = int(rng.integers(1, 9))
         base = rng.integers(-3, 4, size=(m, t)).astype(np.float64)
-        yield rng, ResidualSet(_with_duplicates(rng, base, zero_rows), t)
+        yield rng, ResidualSet(_with_duplicates(rng, base, zero_rows))
 
 
 def test_witnesses_match_pair_loops():
@@ -84,7 +84,7 @@ def test_upper_tight_on_collinear_members_matches_pair_loop():
     for _ in range(100):
         direction = rng.integers(-3, 4, size=int(rng.integers(1, 9))).astype(float)
         scales = rng.choice([0.0, 0.5, 1.0, 2.0, -1.0], size=int(rng.integers(2, 6)))
-        rs = ResidualSet(np.outer(scales, direction), direction.size)
+        rs = ResidualSet(np.outer(scales, direction))
         w = random_weights(rng, rs.n_models)
         assert schwartz_bounds(rs, w).upper_tight == upper_tight_reference(rs)
 

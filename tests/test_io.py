@@ -110,6 +110,12 @@ def test_csv_round_trip_is_identity():
     assert format_ensemble_csv(obs2, ens2) == text
 
 
+def test_format_csv_rejects_misaligned_inputs():
+    obs = ObservationSeries([0, 1], [0.0, 0.0])
+    with pytest.raises(ValidationError, match="observations and ensemble must be aligned"):
+        format_ensemble_csv(obs, ModelEnsemble(("a",), [[1.0]]))
+
+
 # ---------------------------------------------------------------------------
 # chunked conversion against the row-by-row rules
 # ---------------------------------------------------------------------------
@@ -456,17 +462,24 @@ def _drop(*path):
         _drop("interval", "end"),
         lambda report: [report],
         lambda report: None,
+        _set("model_names", value="abc"),
+        _set("ensemble_score", value=10**400),
     ],
     ids=[
         "string-score", "fractional-start", "string-bool", "int-bool", "3-item-witness",
         "unknown-regime", "number-for-record", "missing-bounds", "missing-interval-end",
-        "top-level-array", "top-level-null",
+        "top-level-array", "top-level-null", "string-for-array", "int-beyond-float",
     ],
 )
 def test_parse_report_rejects_each_mistyped_field(edit):
     text = json.dumps(edit(json.loads(emit_report(_sample_report()))))
     with pytest.raises(ValidationError, match="^malformed report structure: "):
         parse_report(text)
+
+
+def test_parse_report_rejects_invalid_json():
+    with pytest.raises(ValidationError, match="^malformed report JSON: "):
+        parse_report(emit_report(_sample_report())[:-10])
 
 
 def test_report_self_consistency():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ensdiag import (
+    AlignmentError,
     ObservationSeries,
     ResidualSet,
     ValidationError,
@@ -16,6 +17,8 @@ from ensdiag import (
     equally_bad_test,
     prescreen,
 )
+from ensdiag import selection
+from ensdiag.selection import _cross_sum, _exhaustive_subset, _greedy_subset
 from helpers import correspondence_oracle, random_residual_set, score_oracle
 
 
@@ -30,7 +33,7 @@ def _obs(values):
 
 def test_prescreen_keeps_good_model():
     obs = _obs([3.0, 4.0])
-    rs = ResidualSet([[1.0, 1.0]], 2)
+    rs = ResidualSet([[1.0, 1.0]])
     report = prescreen(rs, obs, 0.1)
     expected_ratio = score_oracle([1.0, 1.0]) / score_oracle([3.0, 4.0])
     assert report.kept == (0,)
@@ -41,7 +44,7 @@ def test_prescreen_keeps_good_model():
 
 def test_prescreen_drops_bad_model():
     obs = _obs([3.0, 4.0])
-    rs = ResidualSet([[1.0, 1.0], [5.0, 5.0]], 2)
+    rs = ResidualSet([[1.0, 1.0], [5.0, 5.0]])
     report = prescreen(rs, obs, 0.1)
     assert report.kept == (0,)
     assert report.dropped == (1,)
@@ -49,14 +52,19 @@ def test_prescreen_drops_bad_model():
     assert report.criterion == "prescreen"
 
 
+def test_prescreen_rejects_misaligned_observations():
+    with pytest.raises(AlignmentError, match="observations have 3 points but residuals have 2"):
+        prescreen(ResidualSet([[1.0, 1.0]]), _obs([1.0, 2.0, 3.0]), 1.0)
+
+
 def test_prescreen_zero_observations():
     with pytest.raises(ZeroNormError):
-        prescreen(ResidualSet([[1.0, 1.0]], 2), _obs([0.0, 0.0]), 0.1)
+        prescreen(ResidualSet([[1.0, 1.0]]), _obs([0.0, 0.0]), 0.1)
 
 
 def test_prescreen_infinite_threshold_keeps_everything():
     obs = _obs([1.0, 2.0])
-    rs = ResidualSet([[9.0, 9.0], [100.0, -100.0], [0.0, 0.0]], 2)
+    rs = ResidualSet([[9.0, 9.0], [100.0, -100.0], [0.0, 0.0]])
     report = prescreen(rs, obs, math.inf)
     assert report.kept == (0, 1, 2)
     assert report.dropped == ()
@@ -64,7 +72,7 @@ def test_prescreen_infinite_threshold_keeps_everything():
 
 def test_prescreen_validates_threshold():
     obs = _obs([1.0, 2.0])
-    rs = ResidualSet([[1.0, 1.0]], 2)
+    rs = ResidualSet([[1.0, 1.0]])
     with pytest.raises(ValidationError):
         prescreen(rs, obs, 0.0)
     with pytest.raises(ValidationError):
@@ -74,7 +82,7 @@ def test_prescreen_validates_threshold():
 def test_prescreen_partitions_in_order():
     rng = np.random.default_rng(83)
     obs = _obs(rng.uniform(1, 5, size=12))
-    rs = ResidualSet(rng.uniform(-10, 10, size=(6, 12)), 12)
+    rs = ResidualSet(rng.uniform(-10, 10, size=(6, 12)))
     report = prescreen(rs, obs, 1.0)
     assert sorted(report.kept + report.dropped) == list(range(6))
     assert list(report.kept) == sorted(report.kept)
@@ -88,25 +96,25 @@ def test_prescreen_partitions_in_order():
 
 def test_equally_bad_true_case():
     obs = _obs([0.1, 0.1])
-    rs = ResidualSet([[1.0, 1.0], [1.0, -1.0]], 2)
+    rs = ResidualSet([[1.0, 1.0], [1.0, -1.0]])
     assert equally_bad_test(rs, obs, tol_equal=0.05, badness_floor=10.0)
 
 
 def test_equally_bad_false_when_models_good():
     obs = _obs([3.0, 4.0])
-    rs = ResidualSet([[1.0, 1.0]], 2)
+    rs = ResidualSet([[1.0, 1.0]])
     assert not equally_bad_test(rs, obs, tol_equal=0.05, badness_floor=10.0)
 
 
 def test_equally_bad_false_when_scores_differ():
     obs = _obs([0.1, 0.1])
-    rs = ResidualSet([[1.0, 1.0], [3.0, 3.0]], 2)
+    rs = ResidualSet([[1.0, 1.0], [3.0, 3.0]])
     assert not equally_bad_test(rs, obs, tol_equal=0.05, badness_floor=0.001)
 
 
 def test_equally_bad_zero_observations():
     with pytest.raises(ZeroNormError):
-        equally_bad_test(ResidualSet([[1.0, 1.0]], 2), _obs([0.0, 0.0]), 0.05, 10.0)
+        equally_bad_test(ResidualSet([[1.0, 1.0]]), _obs([0.0, 0.0]), 0.05, 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +123,7 @@ def test_equally_bad_zero_observations():
 
 
 def test_anticorr_prefers_opposing_pair():
-    rs = ResidualSet([[1.0, 1.0], [-1.0, -1.0], [1.0, 1.0]], 2)
+    rs = ResidualSet([[1.0, 1.0], [-1.0, -1.0], [1.0, 1.0]])
     report = anti_correlated_subset(rs, 2)
     assert report.kept == (0, 1)  # lexicographically first of the tied minima
     assert report.objective_value == pytest.approx(-0.5, rel=1e-12)
@@ -124,21 +132,21 @@ def test_anticorr_prefers_opposing_pair():
 
 
 def test_anticorr_identical_models_any_pair():
-    rs = ResidualSet([[1.0, 1.0]] * 3, 2)
+    rs = ResidualSet([[1.0, 1.0]] * 3)
     report = anti_correlated_subset(rs, 2)
     assert len(report.kept) == 2
     assert report.objective_value == pytest.approx(0.5, rel=1e-12)  # s1^2 / 2
 
 
 def test_anticorr_orthogonal_pair_beats_positive_pairs():
-    rs = ResidualSet([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], 2)
+    rs = ResidualSet([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     report = anti_correlated_subset(rs, 2)
     assert report.kept == (0, 1)
     assert report.objective_value == pytest.approx(0.0, abs=1e-15)
 
 
 def test_anticorr_k_out_of_range():
-    rs = ResidualSet([[1.0, 1.0], [2.0, 2.0]], 2)
+    rs = ResidualSet([[1.0, 1.0], [2.0, 2.0]])
     with pytest.raises(ValidationError):
         anti_correlated_subset(rs, 1)
     with pytest.raises(ValidationError):
@@ -150,11 +158,24 @@ def test_anticorr_greedy_never_beats_exhaustive():
     for _ in range(60):
         rs = random_residual_set(rng, m_range=(3, 8))
         k = int(rng.integers(2, rs.n_models + 1))
-        exhaustive = anti_correlated_subset(rs, k, method="exhaustive")
-        greedy = anti_correlated_subset(rs, k, method="greedy")
-        assert exhaustive.objective_value <= greedy.objective_value + 1e-12
-        # auto takes the exhaustive path at this size
-        assert anti_correlated_subset(rs, k).criterion == "anticorr-exhaustive"
+        exhaustive = _exhaustive_subset(rs.entries, k)
+        greedy = _greedy_subset(rs.entries, k)
+        assert _cross_sum(rs.entries, exhaustive) <= _cross_sum(rs.entries, greedy) + 1e-12 * k * k
+        # the subset count puts every set of this size on the exhaustive side
+        report = anti_correlated_subset(rs, k)
+        assert (report.kept, report.criterion) == (exhaustive, "anticorr-exhaustive")
+
+
+def test_anticorr_subset_count_alone_chooses_the_search(monkeypatch):
+    rng = np.random.default_rng(101)
+    rs = random_residual_set(rng, m_range=(30, 30))
+    assert math.comb(30, 4) > selection.EXHAUSTIVE_LIMIT
+    report = anti_correlated_subset(rs, 4)
+    assert (report.kept, report.criterion) == (_greedy_subset(rs.entries, 4), "anticorr-greedy")
+    small = random_residual_set(rng, m_range=(7, 7))
+    for limit, criterion in [(35, "anticorr-exhaustive"), (34, "anticorr-greedy")]:
+        monkeypatch.setattr(selection, "EXHAUSTIVE_LIMIT", limit)  # C(7, 3) = 35
+        assert anti_correlated_subset(small, 3).criterion == criterion
 
 
 def test_anticorr_exhaustive_minimizes_cross_term_by_recomputation():
@@ -178,12 +199,9 @@ def test_anticorr_exhaustive_minimizes_cross_term_by_recomputation():
 
 
 def test_anticorr_greedy_seeds_from_least_correspondent_pair():
-    rs = ResidualSet(
-        [[1.0, 1.0], [-1.0, -1.0], [5.0, 5.0], [5.0, -5.0]], 2
-    )
-    report = anti_correlated_subset(rs, 2, method="greedy")
+    rs = ResidualSet([[1.0, 1.0], [-1.0, -1.0], [5.0, 5.0], [5.0, -5.0]])
     entries = correspondence_matrix(rs).entries
-    i, j = report.kept
+    i, j = _greedy_subset(entries, 2)
     assert entries[i, j] == entries[np.triu_indices(4, k=1)].min()
 
 

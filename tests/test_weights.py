@@ -122,14 +122,14 @@ def test_projection_is_nearest_feasible_point():
 
 
 def test_optimal_weights_symmetric_cancellation():
-    out = optimal_weights(ResidualSet([[1.0, 1.0], [-1.0, -1.0]], 2))
+    out = optimal_weights(ResidualSet([[1.0, 1.0], [-1.0, -1.0]]))
     assert np.array_equal(out.weights.weights, [0.5, 0.5])
     assert out.score == 0.0
     assert out.converged
 
 
 def test_optimal_weights_dominated_collinear_pair():
-    rs = ResidualSet([[1.0, 1.0], [2.0, 2.0]], 2)
+    rs = ResidualSet([[1.0, 1.0], [2.0, 2.0]])
     out = optimal_weights(rs)
     assert out.score == pytest.approx(1.0, abs=1e-9)
     np.testing.assert_allclose(out.weights.weights, [1.0, 0.0], atol=1e-8)
@@ -139,20 +139,20 @@ def test_optimal_weights_dominated_collinear_pair():
 
 
 def test_optimal_weights_orthogonal_pair():
-    out = optimal_weights(ResidualSet([[1.0, 0.0], [0.0, 1.0]], 2))
+    out = optimal_weights(ResidualSet([[1.0, 0.0], [0.0, 1.0]]))
     np.testing.assert_allclose(out.weights.weights, [0.5, 0.5], atol=1e-10)
     assert out.score == pytest.approx(0.25, rel=1e-12)
 
 
 def test_optimal_weights_single_model():
-    out = optimal_weights(ResidualSet([[2.0, 2.0]], 2))
+    out = optimal_weights(ResidualSet([[2.0, 2.0]]))
     assert np.array_equal(out.weights.weights, [1.0])
     assert out.score == 4.0
     assert out.converged
 
 
 def test_optimal_weights_perfect_member_short_circuit():
-    rs = ResidualSet([[3.0, 3.0], [0.0, 0.0], [0.0, 0.0]], 2)
+    rs = ResidualSet([[3.0, 3.0], [0.0, 0.0], [0.0, 0.0]])
     out = optimal_weights(rs)
     assert out.score == 0.0
     assert np.array_equal(out.weights.weights, [0.0, 1.0, 0.0])
@@ -160,7 +160,7 @@ def test_optimal_weights_perfect_member_short_circuit():
 
 
 def test_optimal_weights_validates_settings():
-    rs = ResidualSet([[1.0, 1.0]], 2)
+    rs = ResidualSet([[1.0, 1.0]])
     with pytest.raises(ValidationError):
         optimal_weights(rs, max_iter=0)
     with pytest.raises(ValidationError):
@@ -253,7 +253,7 @@ def test_optimal_weights_iteration_budget_does_not_change_the_answer():
     sets = [random_residual_set(rng) for _ in range(200)]
     sets += [illcond_residual_set(rng, m, s) for m in range(3, 9) for s in (1e-3, 1e-2, 1.0)]
     dup = rng.normal(size=(3, 40))
-    sets.append(ResidualSet(np.vstack([dup, dup, -dup[:1]]), 40))
+    sets.append(ResidualSet(np.vstack([dup, dup, -dup[:1]])))
     for rs in sets:
         assert _fields(optimal_weights(rs, max_iter=50)) == _fields(optimal_weights(rs))
 
@@ -261,7 +261,7 @@ def test_optimal_weights_iteration_budget_does_not_change_the_answer():
 def test_optimal_weights_duplicate_members():
     z = np.random.default_rng(83).normal(size=(2, 30))
     for rows in ([z[0], z[0], z[1]], [z[0], z[1], z[0], z[1]], [z[0], -z[0], z[0]]):
-        rs = ResidualSet(np.array(rows), 30)
+        rs = ResidualSet(np.array(rows))
         out = optimal_weights(rs)
         exact = enumeration_minimum(rs)
         assert out.converged
@@ -273,7 +273,7 @@ def test_optimal_weights_do_not_depend_on_units(k):
     rng = np.random.default_rng(89)
     for _ in range(30):
         rs = random_residual_set(rng)
-        scaled = ResidualSet(np.ldexp(rs.residuals, k), rs.n_points)
+        scaled = ResidualSet(np.ldexp(rs.residuals, k))
         out, out_scaled = optimal_weights(rs), optimal_weights(scaled)
         assert out_scaled.weights.weights.tobytes() == out.weights.weights.tobytes()
         assert (out_scaled.iterations, out_scaled.converged) == (out.iterations, out.converged)
@@ -289,7 +289,7 @@ def _row_test_population(rng):
         m, t = int(rng.integers(2, 9)), int(rng.integers(4, 64))
         loading = rng.uniform(0.5, 1.5, size=(m, 1))
         z = loading * rng.normal(size=t) + rng.uniform(0.0, 0.6) * rng.normal(size=(m, t))
-        yield ResidualSet(z, t)
+        yield ResidualSet(z)
     for _ in range(100):
         # a dominant best member along one error, the rest that error plus
         # larger independent parts: the row test can hold where Result 1's
@@ -298,7 +298,7 @@ def _row_test_population(rng):
         u = rng.normal(size=t)
         z = u + 2.0 * rng.normal(size=(m, t))
         z[0] = rng.uniform(0.05, 0.5) * u
-        yield ResidualSet(z, t)
+        yield ResidualSet(z)
 
 
 def test_row_test_is_the_exact_form_of_result1():
