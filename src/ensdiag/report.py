@@ -112,6 +112,34 @@ class DiagnosticsReport:
     regime: Regime | None
     settings: ReportSettings
 
+    def __post_init__(self) -> None:
+        """Refuse what ``build_report`` cannot produce, so that a parsed
+        report obeys the same rules: one entry per model, M×M matrices,
+        indices and witness pairs ``i < j`` in range, the best member's
+        name, and simplex weights."""
+        m = len(self.model_names)
+        for name in ("weights_used", "per_model_scores"):
+            if len(getattr(self, name)) != m:
+                raise _malformed(f"report.{name}", f"expected {m} entries, one per model")
+        for name in ("correspondence", "cosines"):
+            matrix = getattr(self, name)
+            if matrix is not None and (len(matrix) != m or set(map(len, matrix)) - {m}):
+                raise _malformed(f"report.{name}", f"expected a {m}x{m} matrix")
+        if not 0 <= self.best_index < m:
+            raise _malformed("report.best_index", f"{self.best_index} is not one of {m} models")
+        if not all(0 <= i < m for i in self.perfect_models):
+            raise _malformed("report.perfect_models", f"not all of {m} models")
+        for name in ("result1", "result2", "result3"):
+            verdict = getattr(self, name)
+            if verdict is not None and not all(0 <= i < j < m for i, j in verdict.witnesses):
+                raise _malformed(f"report.{name}.witnesses", f"not all pairs i < j of {m} models")
+        if self.best_name != self.model_names[self.best_index]:
+            raise _malformed("report.best_name", f"not model {self.best_index}'s name")
+        try:
+            WeightVector(self.weights_used)
+        except ValidationError as exc:
+            raise _malformed("report.weights_used", str(exc)) from None
+
 
 def _matrix_rows(matrix: np.ndarray) -> tuple[tuple[float, ...], ...]:
     return tuple(map(tuple, matrix.tolist()))
@@ -421,6 +449,10 @@ class _LineRows:
 
     def __init__(self, text: str) -> None:
         self.lines = [line for line in text.split("\n") if line]
+        header = self.lines[0] if self.lines else ""
+        #: No data line holds an underscore, which ``int`` and ``float``
+        #: accept and the format does not, so ``_load_plain`` may convert them.
+        self.plain = text.find("_", text.find(header) + len(header)) < 0
 
     def __len__(self) -> int:
         return len(self.lines)
@@ -441,6 +473,8 @@ class _LineRows:
 
 class _ReaderRows:
     """Rows of any other CSV text, tokenized by ``csv.reader``."""
+
+    plain = False  # only csv.reader tokenizes quotes, carriage returns and NUL
 
     def __init__(self, text: str) -> None:
         try:
@@ -463,20 +497,43 @@ class _ReaderRows:
         return None if any("_" in cell for cell in cells) else cells
 
 
-def _convert(cells: list[str], width: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Times and values of a chunk's row-major cells, or None if any cell
-    breaks a rule.  A cell that ``int`` or ``float`` accepts, in int64 or
-    finite, passes ``_parse_time`` or ``_parse_value`` with the same value
-    unless it holds an underscore, which the tokenizers screen out."""
+def _load_plain(lines: list[str], width: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Times and values of a chunk of plain lines without an underscore, by
+    numpy's C reader, or None if it refuses them or a check fails.
+
+    The reader strips the same whitespace as ``str.strip`` and converts with
+    the ``PyOS_string_to_double`` that ``float`` calls, but refuses non-ASCII
+    digits, so a value it accepts is what ``_parse_value`` gives.  Its shape
+    must be exactly one row of ``width`` cells per line, which catches ragged
+    rows, trailing commas and any line it skipped.  The times are read again
+    with ``int``; one padded with ``"\\x1c"`` to ``"\\x1f"``, which ``int``
+    refuses and ``_parse_time`` strips, is left to ``_convert``.
+    """
     try:
-        times = np.array(list(map(int, cells[::width])), dtype=np.int64)
-        del cells[::width]
-        values = np.array(list(map(float, cells)), dtype=np.float64)
+        table = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+        times = np.array([int(line.partition(",")[0]) for line in lines], dtype=np.int64)
     except (ValueError, OverflowError):  # OverflowError: outside int64
         return None
-    if not np.isfinite(values).all():
+    if table.shape != (len(lines), width) or not np.isfinite(table).all():
         return None
-    return times, values.reshape(times.size, width - 1)
+    return times, table[:, 1:]
+
+
+def _convert(cells: list[str], width: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Times and values of a chunk's row-major cells, or None if any cell
+    breaks a rule.  A cell that ``int`` or ``float`` accepts, as it is or
+    stripped, in int64 or finite, passes ``_parse_time`` or
+    ``_parse_value`` with the same value unless it holds an underscore,
+    which the tokenizers screen out."""
+    try:
+        times = np.array(list(map(int, cells[::width])), dtype=np.int64)
+        table = np.array(list(map(float, cells)), dtype=np.float64)
+    except (ValueError, OverflowError):  # OverflowError: outside int64
+        # int and float refuse the "\x1c" to "\x1f" padding that str.strip removes
+        stripped = list(map(str.strip, cells))
+        return None if stripped == cells else _convert(stripped, width)
+    values = table.reshape(times.size, width)[:, 1:]
+    return (times, values) if np.isfinite(values).all() else None
 
 
 def _validate_row(row: list[str], offset: int, width: int, seen: set[int]) -> None:
@@ -542,14 +599,18 @@ def parse_ensemble_csv(text: str) -> tuple[ObservationSeries, ModelEnsemble]:
     Text that holds a quote, a carriage return or NUL is tokenized by
     ``csv.reader``; any other text is split into its non-blank lines and
     those on commas, which is what ``csv.reader`` would give, faster.
-    The data rows are then converted in chunks of ``_CHUNK_ROWS``: each
-    chunk's times go through ``int`` and its values through ``float``
-    at once.  A chunk with a row of the wrong width, an underscore, a
-    cell that ``int``/``float`` refuse, a time outside int64 or a
-    non-finite value is checked again row by row with the strict rules
-    (``_validate_row``), which raise the same error, at the same row and
-    column, as checking every row in turn would.  Repeated times are
-    found over all chunks at once.
+    The data rows are then converted in chunks of ``_CHUNK_ROWS``, by up
+    to three tiers.  A chunk of plain text is converted by numpy's C
+    reader (``_load_plain``) when no data line holds an underscore.  A
+    chunk that it refuses (non-ASCII digits, for example), and every
+    chunk of ``csv.reader`` rows, has its times go through ``int`` and
+    its values through ``float`` at once (``_convert``).  A
+    chunk with a row of the wrong width, an underscore, a cell that
+    ``int``/``float`` refuse, a time outside int64 or a non-finite value
+    is checked again row by row with the strict rules (``_validate_row``),
+    which raise the same error, at the same row and column, as checking
+    every row in turn would.  Repeated times are found over all chunks at
+    once.
     """
     rows = _ReaderRows(text) if any(c in text for c in _READER_ONLY) else _LineRows(text)
     if not len(rows):
@@ -573,8 +634,10 @@ def parse_ensemble_csv(text: str) -> tuple[ObservationSeries, ModelEnsemble]:
     value_chunks: list[np.ndarray] = []
     for start in range(1, len(rows), _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, len(rows))
-        cells = rows.cells(start, stop, width)
-        converted = None if cells is None else _convert(cells, width)
+        converted = _load_plain(rows.lines[start:stop], width) if rows.plain else None
+        if converted is None:
+            cells = rows.cells(start, stop, width)
+            converted = None if cells is None else _convert(cells, width)
         if converted is None:
             _reject_chunk(rows, start, stop, width, time_chunks)
         time_chunks.append(converted[0])

@@ -1,6 +1,7 @@
 """CSV parsing, report building, and deterministic JSON serialization."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -271,9 +272,102 @@ def test_bad_last_row_takes_at_most_one_chunk_of_strict_rows(monkeypatch):
 
 
 def test_converter_and_strict_rules_disagreeing_is_an_error(monkeypatch):
+    monkeypatch.setattr(ensdiag.report, "_load_plain", lambda lines, width: None)
     monkeypatch.setattr(ensdiag.report, "_convert", lambda cells, width: None)
     with pytest.raises(ValidationError, match="internal inconsistency"):
         parse_ensemble_csv("t,Y,a\n0,0,1\n1,0,1\n")
+
+
+# ---------------------------------------------------------------------------
+# numpy's reader as the first tier of the converter
+# ---------------------------------------------------------------------------
+
+#: Cells that numpy's reader might read otherwise than ``float``, ``int``
+#: and ``str.strip`` do; ``{}`` stands for the cell's own value.
+NUMPY_CELLS = [
+    "#x", "1#", "{}#",
+    "\x0c", "\x0c{}", "{}\x0c", "\x1c", "\x1c{}", "{}\x1f", "\x85", "\x85{}\x85",
+    " ", " {} ", "\u3000", "\u3000{}", "{}\u3000", "\x0b{}", "{}\u2028",
+    "1d5", "0x1p3", "1 2", "{} 2", "\u0661", "\u0663.5",
+    "{},",  # a trailing comma in the last column
+]
+
+
+def _numpy_cell_cases():
+    """A clean 6-row CSV with one row replaced by a whitespace-only line, or
+    one cell of it by each of ``NUMPY_CELLS``, in each column."""
+    rows = [[str(t), repr(t / 4), "-1e-3", repr(2.0**-t)] for t in range(6)]
+    for r in range(len(rows)):
+        for line in [" ", "\t\x0c"]:
+            yield _csv("t,Y,a,b", *(line if i == r else ",".join(row) for i, row in enumerate(rows)))
+        for c in range(4):
+            for cell in NUMPY_CELLS:
+                edited = [list(row) for row in rows]
+                edited[r][c] = cell.format(edited[r][c])
+                yield _csv("t,Y,a,b", *map(",".join, edited))
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, 5])
+def test_numpy_tier_matches_row_by_row_rules(monkeypatch, chunk_rows):
+    monkeypatch.setattr(ensdiag.report, "_CHUNK_ROWS", chunk_rows)
+    for text in _numpy_cell_cases():
+        _assert_same_as_reference(text)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, 5])
+def test_fallback_tier_matches_row_by_row_rules(monkeypatch, chunk_rows):
+    monkeypatch.setattr(ensdiag.report, "_load_plain", lambda lines, width: None)
+    monkeypatch.setattr(ensdiag.report, "_CHUNK_ROWS", chunk_rows)
+    rng = np.random.default_rng(7100 + chunk_rows)
+    for _ in range(1500):
+        _assert_same_as_reference(_fuzzed_csv(rng))
+
+
+def _decimal(rng) -> str:
+    """A random decimal: a sign, 1-40 digits with or without a point, and
+    an exponent from -330 to 310."""
+    digits = "".join(map(str, rng.integers(0, 10, int(rng.integers(1, 41)))))
+    point = int(rng.integers(0, len(digits) + 1))
+    if rng.random() < 0.5:
+        digits = digits[:point] + "." + digits[point:]
+    sign = ["", "-", "+"][int(rng.integers(0, 3))]
+    return f"{sign}{digits}e{int(rng.integers(-330, 311))}"
+
+
+def test_numpy_tier_values_are_bit_identical_to_float():
+    rng = np.random.default_rng(7200)
+    cells = [cell for cell in (_decimal(rng) for _ in range(3000)) if math.isfinite(float(cell))]
+    cells = cells[: len(cells) // 2 * 2]
+    lines = [f"{t},{cells[2 * t]},{cells[2 * t + 1]}" for t in range(len(cells) // 2)]
+    times, values = ensdiag.report._load_plain(lines, 3)
+    assert times.tolist() == list(range(len(lines)))
+    assert values.ravel().tobytes() == np.array(list(map(float, cells))).tobytes()
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    function = getattr(ensdiag.report, name)
+
+    def counted(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(ensdiag.report, name, counted)
+    return calls
+
+
+def test_plain_csv_takes_numpy_tier_unless_it_refuses(monkeypatch):
+    converted = _counting(monkeypatch, "_convert")
+    validated = _counting(monkeypatch, "_validate_row")
+    n = 2 * ensdiag.report._CHUNK_ROWS + 5
+    rows = [f"{t},{t / 3!r},-1e-3,{t}" for t in range(n)]
+    obs, _ = parse_ensemble_csv(_csv("t,Y,gcm_a,b", *rows))
+    assert obs.n_points == n
+    assert converted == [] and validated == []
+    rows[n - 1] = f"{n - 1},\u0663.5,-1e-3,0"  # non-ASCII digits: numpy's reader refuses
+    obs, _ = parse_ensemble_csv(_csv("t,Y,gcm_a,b", *rows))
+    assert obs.values[-1] == 3.5
+    assert len(converted) == 1 and validated == []
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +566,51 @@ def _drop(*path):
     ],
 )
 def test_parse_report_rejects_each_mistyped_field(edit):
+    text = json.dumps(edit(json.loads(emit_report(_sample_report()))))
+    with pytest.raises(ValidationError, match="^malformed report structure: "):
+        parse_report(text)
+
+
+def _edits(*edits):
+    def edit(report):
+        for each in edits:
+            report = each(report)
+        return report
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _edits(
+            _set("best", "index", value=7),
+            _set("weights_used", value=[1.0, 1.0, 1.0]),
+            _set("model_names", value=["alpha"]),
+        ),
+        _set("best", "index", value=7),
+        _set("best", "index", value=-1),
+        _set("best", "name", value="nobody"),
+        _set("weights_used", value=[0.5, 0.5]),
+        _set("weights_used", value=[1.0, 1.0, 1.0]),
+        _set("weights_used", value=[1.5, -0.5, 0.0]),
+        _set("per_model_scores", value=[1.0, 2.0, 3.0, 4.0]),
+        _set("correspondence", value=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+        _set("cosines", value=[[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
+        _set("perfect_models", value=[3]),
+        _set("result1", "witnesses", value=[[1, 0]]),
+        _set("result2", "witnesses", value=[[0, 0]]),
+        _set("result3", "witnesses", value=[[0, 1], [1, 3]]),
+        _set("result3", "witnesses", value=[[-1, 1]]),
+    ],
+    ids=[
+        "index-weights-and-names", "index-beyond-models", "negative-index", "other-best-name",
+        "short-weights", "weights-off-simplex", "negative-weight", "long-scores",
+        "short-matrix", "narrow-matrix", "perfect-beyond-models", "witness-order",
+        "witness-self-pair", "witness-beyond-models", "negative-witness",
+    ],
+)
+def test_parse_report_refuses_each_broken_invariant(edit):
     text = json.dumps(edit(json.loads(emit_report(_sample_report()))))
     with pytest.raises(ValidationError, match="^malformed report structure: "):
         parse_report(text)
