@@ -6,7 +6,10 @@ exactly), matrices as row-major arrays of arrays, and a trailing
 newline.  Two runs on the same input and settings produce byte-identical
 text.  A list or tuple of plain floats (a matrix row, a score or weight
 list) is formatted in one ``%.17g`` pass, and one of ``(int, int)``
-pairs (a witness list) in one ``%d`` pass; both give the same bytes as
+pairs (a witness list) in one ``%d`` pass.  A list of two or more
+records of one dataclass type (the sweep's rows) renders column by
+column when each field holds only exact floats, ints or bools, and then
+fills one row template per record.  All three give the same bytes as
 rendering each item on its own.
 
 The record dataclasses are the report's one schema.  A record renders as
@@ -240,6 +243,29 @@ def _render_key(key: str) -> str:
     return json.dumps(key) + ":"
 
 
+def _render_records(values) -> str | None:
+    """Two or more records of one dataclass type whose every field column
+    is all exact floats, all exact ints or all exact bools, column by
+    column; else None."""
+    if len(values) < 2:
+        return None
+    kind = type(values[0])
+    if not is_dataclass(kind) or set(map(type, values)) != {kind}:
+        return None
+    columns = list(zip(*[vars(value).values() for value in values]))
+    kinds = [set(map(type, column)) for column in columns]
+    if not all(types in ({float}, {int}, {bool}) for types in kinds):
+        return None
+    cells = [
+        _render_floats(column)[1:-1].split(",") if types == {float}
+        else [("false", "true")[item] for item in column] if types == {bool}
+        else column  # exact ints: "%s" gives the same text as str(int)
+        for column, types in zip(columns, kinds)
+    ]
+    row = "{" + ",".join([_render_key(name) + "%s" for name in vars(values[0])]) + "}"
+    return "[" + ",".join([row] * len(values)) % tuple(chain.from_iterable(zip(*cells))) + "]"
+
+
 def _render(value) -> str:
     if value is None:
         return "null"
@@ -257,6 +283,9 @@ def _render(value) -> str:
         pairs = _int_pairs(value)
         if pairs is not None:
             return "[" + (("[%d,%d]," * len(value)) % pairs)[:-1] + "]"
+        records = _render_records(value)
+        if records is not None:
+            return records
         return "[" + ",".join([_render(item) for item in value]) + "]"
     if is_dataclass(value):  # a record: its fields, in declaration order
         value = vars(value)

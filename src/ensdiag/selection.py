@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -118,20 +118,42 @@ def equally_bad_test(
     return bool(spread_ok and badly_ok)
 
 
+#: Correspondence entries gathered per batch of the exhaustive search, so
+#: that its memory stays bounded whatever ``C(M, k)`` and ``k`` are.
+_BATCH_ENTRIES = 2**20
+
+
+def _cross_sums(entries: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """Ordered-pair sum of correspondences inside each row of the n×k index
+    array ``subsets``: the pairwise sum of the row's contiguous k×k block
+    minus the sum of its diagonal, the same bits whatever rows share the call."""
+    n, k = subsets.shape
+    blocks = entries[subsets[:, :, None], subsets[:, None, :]].reshape(n, k * k)
+    return blocks.sum(axis=1) - entries.diagonal()[subsets].sum(axis=1)
+
+
 def _cross_sum(entries: np.ndarray, subset: tuple[int, ...]) -> float:
     """Ordered-pair sum of correspondences inside ``subset``."""
-    block = entries[np.ix_(subset, subset)]
-    return float(block.sum() - np.trace(block))
+    return float(_cross_sums(entries, np.array([subset], dtype=np.intp))[0])
 
 
 def _exhaustive_subset(entries: np.ndarray, k: int) -> tuple[int, ...]:
-    best_subset: tuple[int, ...] | None = None
+    """The size-``k`` subset of least cross-term sum, over every subset in
+    lexicographic order, ``_BATCH_ENTRIES // k**2`` at a time."""
+    m = entries.shape[0]
+    count = math.comb(m, k)
+    batch = max(1, _BATCH_ENTRIES // (k * k))
+    subsets = combinations(range(m), k)
+    best_subset: tuple[int, ...] = ()
     best_value = math.inf
-    for subset in combinations(range(entries.shape[0]), k):
-        value = _cross_sum(entries, subset)
-        if value < best_value:  # strict: lexicographically first wins ties
-            best_subset, best_value = subset, value
-    assert best_subset is not None
+    for start in range(0, count, batch):
+        size = min(batch, count - start)
+        indices = chain.from_iterable(islice(subsets, size))
+        chunk = np.fromiter(indices, dtype=np.intp, count=size * k).reshape(size, k)
+        values = _cross_sums(entries, chunk)
+        first = int(np.argmin(values))  # first minimum: lexicographically first wins ties
+        if values[first] < best_value:
+            best_subset, best_value = tuple(chunk[first].tolist()), values[first]
     return best_subset
 
 
@@ -160,9 +182,12 @@ def anti_correlated_subset(rs: ResidualSet, k: int) -> SelectionReport:
     ``sum_{m != m'} (1/k^2) * R[m, m']`` over size-``k`` subsets:
     exhaustively while ``C(M, k) <= EXHAUSTIVE_LIMIT``, by greedy forward
     selection from the least-correspondent pair otherwise (the report's
-    criterion names which).  Ties resolve to the lexicographically smallest
-    index set.  Entries so large that ``k**2`` of them could overflow a sum
-    raise ValidationError.
+    criterion names which).  The exhaustive search is one batched numpy
+    reduction over the subsets in lexicographic order: each subset's sum
+    has the same bits as on its own, and its memory stays bounded by
+    gathering at most about ``2**20`` entries at a time.  Ties resolve to
+    the lexicographically smallest index set.  Entries so large that
+    ``k**2`` of them could overflow a sum raise ValidationError.
     """
     m = rs.n_models
     k = int(k)

@@ -6,9 +6,10 @@ and the simplex minimum is found by brute-force grid search or, exactly,
 by enumerating every support.  The loop
 references at the end are the pair loops and the per-window sweep that
 the library replaced with array masks and whole-array window reductions,
-the row-by-row CSV parse that it replaced with chunked conversion, and
-the item-by-item JSON renderer that it gave bulk paths for float rows
-and witness lists.
+the per-subset exhaustive search that it replaced with batched
+reductions, the row-by-row CSV parse that it replaced with chunked
+conversion, and the item-by-item JSON renderer that it gave bulk paths
+for float rows, witness lists and record lists.
 """
 
 from __future__ import annotations
@@ -242,6 +243,24 @@ def greedy_subset_reference(entries: np.ndarray, k: int) -> tuple[int, ...]:
                 best_candidate, best_gain = candidate, gain
         chosen.append(best_candidate)
     return tuple(sorted(chosen))
+
+
+def cross_sum_reference(entries: np.ndarray, subset: tuple[int, ...]) -> float:
+    """Ordered-pair sum of correspondences inside ``subset``."""
+    block = entries[np.ix_(subset, subset)]
+    return float(block.sum() - np.trace(block))
+
+
+def exhaustive_subset_reference(entries: np.ndarray, k: int) -> tuple[int, ...]:
+    """The exhaustive anti-correlation search as one loop over the subsets."""
+    best_subset: tuple[int, ...] | None = None
+    best_value = math.inf
+    for subset in combinations(range(entries.shape[0]), k):
+        value = cross_sum_reference(entries, subset)
+        if value < best_value:  # strict: lexicographically first wins ties
+            best_subset, best_value = subset, value
+    assert best_subset is not None
+    return best_subset
 
 
 def sweep_reference(obs, ens, window: int, stride: int, w) -> list[SweepRow]:

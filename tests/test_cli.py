@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 import ensdiag
-from ensdiag import ModelEnsemble, ObservationSeries, format_ensemble_csv
+from ensdiag import ModelEnsemble, ObservationSeries, format_ensemble_csv, report, selection
 from ensdiag.cli import build_parser, run_command
-from helpers import render_json_reference
+from helpers import cross_sum_reference, exhaustive_subset_reference, render_json_reference
 
 FIXTURE = "t,Y,alpha,beta,gamma\n" + "".join(
     f"{t},{y},{a},{b},{c}\n"
@@ -749,3 +749,42 @@ def test_result3_does_not_witness_a_duplicated_best_member(tmp_path):
     data = _residual_csv(tmp_path / "duplicate.csv", [best, best, [-3, -3, -2, 2, 1]])
     assert data["correspondence"][0][1] == data["best"]["s_min_sq"] == 3.0
     assert data["result3"]["witnesses"] == [[0, 2], [1, 2]]
+
+
+def _seeded_csv(path):
+    """20 models of 2,000 points, the observations plus a bias, a shared
+    error with loadings of both signs and an independent part."""
+    rng = np.random.default_rng(2015)
+    t = np.arange(2000)
+    y = 10.0 * np.sin(t / 50.0) + 2.0 * np.sin(t / 7.0)
+    loading = rng.uniform(-0.6, 1.2, (20, 1))
+    errors = loading * rng.normal(size=2000) + rng.normal(size=(20, 2000))
+    outputs = y + rng.normal(0.0, 0.3, (20, 1)) + errors
+    ens = ModelEnsemble(tuple(f"m{i}" for i in range(20)), outputs)
+    path.write_text(format_ensemble_csv(ObservationSeries(t, y), ens))
+    return path
+
+
+#: Commands whose stdout goes through the batched exhaustive search and
+#: the column-by-column rendering of record lists.
+BATCHED_COMMANDS = [
+    ("select", "--mode", "anticorr", "--k", "2"),
+    ("select", "--mode", "anticorr", "--k", "3"),
+    ("select", "--mode", "anticorr", "--k", "4"),
+    ("sweep", "--window", "200", "--stride", "1"),
+    ("sweep", "--window", "200", "--stride", "7"),
+    ("sweep", "--window", "200", "--stride", "1", "--weights", "optimal"),
+    ("sweep", "--window", "200", "--stride", "7", "--weights", "optimal"),
+]
+
+
+@pytest.mark.parametrize("argv", BATCHED_COMMANDS, ids=" ".join)
+def test_anticorr_and_sweep_stdout_is_that_of_the_per_item_loops(tmp_path, monkeypatch, argv):
+    path = _seeded_csv(tmp_path / "seeded.csv")
+    batched = _run([*argv, "--input", str(path)])
+    monkeypatch.setattr(selection, "_exhaustive_subset", exhaustive_subset_reference)
+    monkeypatch.setattr(selection, "_cross_sum", cross_sum_reference)
+    monkeypatch.setattr(report, "_render_records", lambda values: None)
+    per_item = _run([*argv, "--input", str(path)])
+    assert batched[0] == 0 and batched[2] == ""
+    assert batched == per_item

@@ -1,13 +1,15 @@
 """Canonical JSON: the bulk paths against the item-by-item renderer."""
 
+import random
 import struct
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ensdiag import ValidationError, render_json
+from ensdiag import SweepRow, ValidationError, render_json
 from helpers import render_json_reference
 
 #: Floats whose ``%.17g`` text has no fraction, or only an exponent.
@@ -125,3 +127,79 @@ def test_non_finite_cell_in_a_long_row_is_rejected(bad):
 def test_int_pair_lists(pairs):
     assert render_json({"w": pairs}) == render_json_reference({"w": pairs}) + "\n"
 
+
+# ---------------------------------------------------------------------------
+# record lists, column by column
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Three:
+    a: object
+    b: object
+    c: object
+
+
+@dataclass
+class _One:
+    x: object
+
+
+@dataclass
+class _NoFields:
+    pass
+
+
+#: Field values of the exact types that render column by column.
+exact_cells = [
+    st.sampled_from(INTEGRAL + [float("nan"), float("inf"), -float("inf")]),
+    plain_floats,
+    small_ints,
+    st.booleans(),
+]
+#: Field values: each column draws its values from one of these.
+cells = exact_cells + [
+    plain_floats.map(np.float64),
+    small_ints.filter(lambda x: abs(x) < 2**63).map(np.int64),
+    st.sampled_from([np.bool_(True), np.bool_(False)]),
+    st.none(),
+    st.text(max_size=4),
+    st.lists(plain_floats, max_size=3).map(tuple),
+]
+cells.append(st.one_of(cells))  # a column of mixed types
+
+
+@st.composite
+def record_lists(draw):
+    """0, 1, a few or 300 records of one type, sometimes with one record
+    of another type among them; each column's values are drawn from a
+    small pool, so that long lists stay cheap to generate."""
+    kind = draw(st.sampled_from([SweepRow, _Three, _One, _NoFields]))
+    n = draw(st.one_of(st.integers(0, 12), st.just(300)))
+    column = st.one_of(st.sampled_from(exact_cells), st.sampled_from(cells))
+    pools = [draw(st.lists(draw(column), min_size=1, max_size=6)) for _ in fields(kind)]
+    picks = random.Random(draw(st.integers(0, 2**32)))
+    records = [kind(*[picks.choice(pool) for pool in pools]) for _ in range(n)]
+    if records and draw(st.booleans()):
+        other = draw(st.sampled_from([_One(1.0), _NoFields(), _Three(1, 2.0, True)]))
+        records.insert(draw(st.integers(0, n)), other)
+    return draw(st.sampled_from([list, tuple]))(records)
+
+
+@settings(max_examples=200, deadline=None)
+@given(record_lists())
+def test_record_lists_render_as_their_fields_item_by_item(records):
+    expected = _outcome(
+        lambda p: render_json_reference({"rows": [vars(r) for r in p]}) + "\n", records
+    )
+    assert _outcome(lambda p: render_json({"rows": p}), records) == expected
+
+
+def test_sweep_rows_render_column_by_column():
+    rows = [SweepRow(t, t + 9, t % 3, 0.5 * t, 1.0, t % 2 == 0) for t in range(5)]
+    assert render_json({"rows": rows}) == render_json_reference(
+        {"rows": [vars(r) for r in rows]}
+    ) + "\n"
+    rows[3] = SweepRow(3, 12, 0, float("nan"), 1.0, False)
+    with pytest.raises(ValidationError, match="must not contain NaN or infinite"):
+        render_json({"rows": rows})

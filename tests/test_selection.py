@@ -1,6 +1,7 @@
 """Pre-screening, the equally-bad predicate, and anti-correlation selection."""
 
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -19,7 +20,13 @@ from ensdiag import (
 )
 from ensdiag import selection
 from ensdiag.selection import _cross_sum, _exhaustive_subset, _greedy_subset
-from helpers import correspondence_oracle, random_residual_set, score_oracle
+from helpers import (
+    correspondence_oracle,
+    cross_sum_reference,
+    exhaustive_subset_reference,
+    random_residual_set,
+    score_oracle,
+)
 
 
 def _obs(values):
@@ -210,3 +217,71 @@ def test_anticorr_partition_invariant():
     rs = random_residual_set(rng, m_range=(4, 8))
     report = anti_correlated_subset(rs, 3)
     assert sorted(report.kept + report.dropped) == list(range(rs.n_models))
+
+
+# ---------------------------------------------------------------------------
+# the batched exhaustive search against the per-subset loop
+# ---------------------------------------------------------------------------
+
+
+def _symmetric(values):
+    return np.triu(values) + np.triu(values, 1).T
+
+
+def _assert_same_as_loop(entries, k):
+    subsets = np.array(list(combinations(range(entries.shape[0]), k)), dtype=np.intp)
+    expected = np.array([cross_sum_reference(entries, tuple(s)) for s in subsets.tolist()])
+    assert selection._cross_sums(entries, subsets).tobytes() == expected.tobytes()
+    assert _exhaustive_subset(entries, k) == exhaustive_subset_reference(entries, k)
+
+
+def _entry_sets(rng, m):
+    """Normal entries, integers with many exact ties, and entries of
+    magnitudes from 2**-500 to 2**500, one symmetric matrix each."""
+    return [
+        _symmetric(rng.normal(size=(m, m))),
+        _symmetric(rng.integers(-2, 3, size=(m, m)).astype(np.float64)),
+        _symmetric(rng.normal(size=(m, m)) * 2.0 ** rng.integers(-500, 501, size=(m, m))),
+    ]
+
+
+def test_batched_search_matches_the_loop_for_every_small_size():
+    rng = np.random.default_rng(1501)
+    for m in range(2, 15):
+        for k in range(2, m + 1):
+            assert math.comb(m, k) <= selection.EXHAUSTIVE_LIMIT
+            _assert_same_as_loop(_entry_sets(rng, m)[(m + k) % 3], k)
+
+
+@pytest.mark.parametrize("m, k", [(20, 18), (24, 21), (100, 99)])
+def test_batched_search_matches_the_loop_on_long_pairwise_sums(m, k):
+    # k**2 > 128 entries: numpy's pairwise sum splits the block recursively;
+    # 99**2 is also above the 8,192 items of numpy's reduction buffer
+    rng = np.random.default_rng(1502 + m)
+    for entries in _entry_sets(rng, m):
+        _assert_same_as_loop(entries, k)
+
+
+@pytest.mark.parametrize("batch_subsets", [1, 2, 3, 7])
+def test_batched_search_keeps_the_first_minimum_across_batches(monkeypatch, batch_subsets):
+    k = 3
+    monkeypatch.setattr(selection, "_BATCH_ENTRIES", batch_subsets * k * k)
+    rng = np.random.default_rng(1510 + batch_subsets)
+    for m in (3, 5, 9):
+        for entries in _entry_sets(rng, m):
+            _assert_same_as_loop(entries, k)
+    ties = np.zeros((6, 6))  # every subset ties: the first one wins
+    assert _exhaustive_subset(ties, k) == (0, 1, 2)
+
+
+def test_batched_search_memory_is_bounded_at_the_largest_subsets():
+    m, k = 141, 139  # C(141, 139) = 9,870 subsets of 19,321 entries each
+    assert math.comb(m, k) <= selection.EXHAUSTIVE_LIMIT
+    entries = _symmetric(np.random.default_rng(1520).normal(size=(m, m)))
+    tracemalloc.start()
+    try:
+        _exhaustive_subset(entries, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
