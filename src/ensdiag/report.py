@@ -4,12 +4,10 @@ Reports are emitted as canonical JSON: fixed key order, floating-point
 values rendered with 17 significant digits (which round-trips float64
 exactly), matrices as row-major arrays of arrays, and a trailing
 newline.  Two runs on the same input and settings produce byte-identical
-text.  A list or tuple of plain floats (a matrix row, a score or weight
-list) is formatted in one ``%.17g`` pass, and one of ``(int, int)``
-pairs (a witness list) in one ``%d`` pass.  A list of two or more
-records of one dataclass type (the sweep's rows) renders column by
-column when each field holds only exact floats, ints or bools, and then
-fills one row template per record.  All three give the same bytes as
+text.  A float row (a matrix row, a score or weight list) takes one
+``%.17g`` pass.  A list of tuples (a witness list) or of records of one
+dataclass type (the sweep's rows) renders column by column when each
+column holds only exact floats, ints or bools.  Both give the bytes of
 rendering each item on its own.
 
 The record dataclasses are the report's one schema.  A record renders as
@@ -209,18 +207,9 @@ _NON_FINITE = "reports must not contain NaN or infinite values"
 _INTEGRAL_CELL = re.compile(r",(-?\d+)(?=,)")
 
 
-def _format_float(value: float) -> str:
-    if not math.isfinite(value):
-        raise ValidationError(_NON_FINITE)
-    text = format(value, ".17g")
-    if "." not in text and "e" not in text and "E" not in text:
-        text += ".0"  # keep JSON floats typed as floats
-    return text
-
-
 def _render_floats(values) -> str:
-    """A sequence of exact floats as one ``%.17g`` pass, the same text as
-    ``_format_float`` on each."""
+    """Exact floats as a JSON array, in one ``%.17g`` pass; an integral
+    cell keeps a ``.0``, so that it reads back as a float."""
     text = ("," + "%.17g," * len(values)) % tuple(values)
     if "n" in text:  # "inf" or "nan"
         raise ValidationError(_NON_FINITE)
@@ -229,41 +218,41 @@ def _render_floats(values) -> str:
     return "[" + text[1:-1] + "]"
 
 
-def _int_pairs(values) -> tuple[int, ...] | None:
-    """The items of a sequence of ``(int, int)`` tuples, flattened, or
-    None if it is anything else."""
-    if set(map(type, values)) != {tuple} or set(map(len, values)) != {2}:
-        return None
-    flat = tuple(chain.from_iterable(values))
-    return flat if set(map(type, flat)) == {int} else None
-
-
 @lru_cache(maxsize=1024)
 def _render_key(key: str) -> str:
     return json.dumps(key) + ":"
 
 
-def _render_records(values) -> str | None:
-    """Two or more records of one dataclass type whose every field column
-    is all exact floats, all exact ints or all exact bools, column by
-    column; else None."""
-    if len(values) < 2:
+def _render_table(values) -> str | None:
+    """Equal-length tuples, or records of one dataclass type, column by
+    column when each column is all exact floats, ints or bools; else None.
+    A matrix (first row all floats) is left to the faster per-row pass."""
+    kind = type(values[0]) if values else None
+    if set(map(type, values)) != {kind}:
         return None
-    kind = type(values[0])
-    if not is_dataclass(kind) or set(map(type, values)) != {kind}:
+    if kind is tuple and set(map(type, values[0])) != {float}:
+        rows, template = values, "[" + ",".join(["%s"] * len(values[0])) + "]"
+    elif is_dataclass(kind):
+        rows = [vars(value).values() for value in values]
+        keys = [_render_key(name).replace("%", "%%") for name in vars(values[0])]
+        template = "{" + ",".join([key + "%s" for key in keys]) + "}"
+    else:
         return None
-    columns = list(zip(*[vars(value).values() for value in values]))
+    width = len(rows[0])
+    if set(map(len, rows)) != {width}:
+        return None
+    cells = list(chain.from_iterable(rows))  # row-major: column j is cells[j::width]
+    columns = [cells[j::width] for j in range(width)]
     kinds = [set(map(type, column)) for column in columns]
     if not all(types in ({float}, {int}, {bool}) for types in kinds):
         return None
-    cells = [
-        _render_floats(column)[1:-1].split(",") if types == {float}
-        else [("false", "true")[item] for item in column] if types == {bool}
-        else column  # exact ints: "%s" gives the same text as str(int)
-        for column, types in zip(columns, kinds)
-    ]
-    row = "{" + ",".join([_render_key(name) + "%s" for name in vars(values[0])]) + "}"
-    return "[" + ",".join([row] * len(values)) % tuple(chain.from_iterable(zip(*cells))) + "]"
+    for j, (column, types) in enumerate(zip(columns, kinds)):
+        if types == {float}:
+            cells[j::width] = _render_floats(column)[1:-1].split(",")
+        elif types == {bool}:
+            cells[j::width] = [("false", "true")[item] for item in column]
+        # exact ints stay: "%s" gives the same text as str(int)
+    return "[" + ",".join([template] * len(values)) % tuple(cells) + "]"
 
 
 def _render(value) -> str:
@@ -274,19 +263,13 @@ def _render(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _format_float(float(value))
+        return _render_floats((float(value),))[1:-1]
     if isinstance(value, str):
         return json.dumps(value, ensure_ascii=False)
     if isinstance(value, (list, tuple)):
         if set(map(type, value)) == {float}:
             return _render_floats(value)
-        pairs = _int_pairs(value)
-        if pairs is not None:
-            return "[" + (("[%d,%d]," * len(value)) % pairs)[:-1] + "]"
-        records = _render_records(value)
-        if records is not None:
-            return records
-        return "[" + ",".join([_render(item) for item in value]) + "]"
+        return _render_table(value) or "[" + ",".join([_render(item) for item in value]) + "]"
     if is_dataclass(value):  # a record: its fields, in declaration order
         value = vars(value)
     if isinstance(value, dict):

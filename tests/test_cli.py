@@ -765,9 +765,12 @@ def _seeded_csv(path):
     return path
 
 
-#: Commands whose stdout goes through the batched exhaustive search and
-#: the column-by-column rendering of record lists.
+#: Commands whose stdout goes through the batched exhaustive search or
+#: the column-by-column rendering of tuple and record lists: the sweep's
+#: rows, and the witness lists of each verdict (177 pairs each here).
 BATCHED_COMMANDS = [
+    ("diagnose",),
+    ("diagnose", "--weights", "optimal"),
     ("select", "--mode", "anticorr", "--k", "2"),
     ("select", "--mode", "anticorr", "--k", "3"),
     ("select", "--mode", "anticorr", "--k", "4"),
@@ -784,7 +787,7 @@ def test_anticorr_and_sweep_stdout_is_that_of_the_per_item_loops(tmp_path, monke
     batched = _run([*argv, "--input", str(path)])
     monkeypatch.setattr(selection, "_exhaustive_subset", exhaustive_subset_reference)
     monkeypatch.setattr(selection, "_cross_sum", cross_sum_reference)
-    monkeypatch.setattr(report, "_render_records", lambda values: None)
+    monkeypatch.setattr(report, "_render_table", lambda values: None)
     per_item = _run([*argv, "--input", str(path)])
     assert batched[0] == 0 and batched[2] == ""
     assert batched == per_item

@@ -28,20 +28,27 @@ plain_floats = st.one_of(
     st.integers(-(2**60), 2**60).map(float),
 )
 small_ints = st.integers(-(2**70), 2**70)
+non_finite = st.sampled_from([float("nan"), float("inf"), -float("inf")])
 
 #: Long float rows, sometimes with one nan or inf among them.
 float_rows = st.builds(
     lambda row, bad, at: row[:at] + [bad] + row[at:] if bad is not None else row,
     st.lists(plain_floats.filter(lambda x: x == x and abs(x) != np.inf), max_size=300),
-    st.one_of(st.none(), st.sampled_from([float("nan"), float("inf"), -float("inf")])),
+    st.one_of(st.none(), non_finite),
     st.integers(0, 300),
 )
-int_tuples = st.one_of(
+#: Tuple shapes; a list of one shape renders column by column.
+tuple_shapes = [
     st.tuples(small_ints, small_ints),
     st.tuples(small_ints, small_ints, small_ints),
     st.tuples(st.integers(0, 5), st.booleans()),
     st.tuples(st.integers(0, 5).map(np.int64), st.integers(0, 5)),
-)
+    st.tuples(plain_floats, st.booleans()),
+    st.tuples(st.booleans(), small_ints, st.one_of(plain_floats, non_finite)),
+    st.tuples(plain_floats, plain_floats),  # a matrix: row by row
+]
+int_tuples = st.one_of(tuple_shapes)
+tuple_lists = st.sampled_from(tuple_shapes).flatmap(lambda shape: st.lists(shape, max_size=40))
 leaves = st.one_of(
     st.none(),
     st.booleans(),
@@ -54,6 +61,7 @@ leaves = st.one_of(
     float_rows,
     float_rows.map(tuple),
     st.lists(int_tuples, max_size=40),
+    tuple_lists,
     st.lists(st.tuples(small_ints, small_ints), max_size=40).map(tuple),
     st.just(b"bytes"),
 )
@@ -86,6 +94,13 @@ def test_bulk_render_matches_item_by_item(payload):
     assert _outcome(render_json, payload) == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(tuple_lists)
+def test_tuple_lists_render_as_their_items(tuples):
+    expected = _outcome(lambda p: render_json_reference(p) + "\n", tuples)
+    assert _outcome(render_json, tuples) == expected
+
+
 @pytest.mark.parametrize(
     "row",
     [
@@ -98,6 +113,8 @@ def test_bulk_render_matches_item_by_item(payload):
         [0.5, True],
         [],
         (),
+        *INTEGRAL,  # scalars
+        np.float64(1e16),
     ],
 )
 def test_float_rows(row):
@@ -122,6 +139,9 @@ def test_non_finite_cell_in_a_long_row_is_rejected(bad):
         ((np.int64(0), 1),),
         ((0, 1.0),),
         ([0, 1], [1, 2]),
+        ((), ()),
+        ((0.5, True), (-0.0, False), (1e16, True)),
+        ((0.5, 1.0), (0.25, 2)),  # a float first row: row by row
     ],
 )
 def test_int_pair_lists(pairs):
@@ -148,6 +168,12 @@ class _One:
 @dataclass
 class _NoFields:
     pass
+
+
+def _extra(record, **attributes):
+    """A record with attributes beyond its fields, which render after them."""
+    vars(record).update(attributes)
+    return record
 
 
 #: Field values of the exact types that render column by column.
@@ -189,6 +215,25 @@ def record_lists(draw):
 @settings(max_examples=200, deadline=None)
 @given(record_lists())
 def test_record_lists_render_as_their_fields_item_by_item(records):
+    expected = _outcome(
+        lambda p: render_json_reference({"rows": [vars(r) for r in p]}) + "\n", records
+    )
+    assert _outcome(lambda p: render_json({"rows": p}), records) == expected
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        [SweepRow(1, 9, 0, 0.5, 1.0, True)],
+        (_One(-0.0),),
+        (_One(float("nan")),),
+        [SweepRow, SweepRow],  # classes, not records
+        [_One, _One(1.0)],
+        [_extra(_One(1.0), **{"%s": 2}), _extra(_One(0.5), **{"%s": 3})],
+        [_One(1.0), _extra(_One(0.5), y=True)],  # of two widths: item by item
+    ],
+)
+def test_one_record_and_record_classes(records):
     expected = _outcome(
         lambda p: render_json_reference({"rows": [vars(r) for r in p]}) + "\n", records
     )
