@@ -1,5 +1,9 @@
 """CSV ingestion, the diagnostics report model, and deterministic JSON output.
 
+CSV ingest has two converters: numpy's C reader for each chunk of rows,
+and the strict row rules for a chunk that it refuses, which raise the
+error that checking every row in turn would.
+
 Reports are emitted as canonical JSON: fixed key order, floating-point
 values rendered with 17 significant digits (which round-trips float64
 exactly), matrices as row-major arrays of arrays, and a trailing
@@ -28,7 +32,7 @@ from dataclasses import dataclass, is_dataclass
 from functools import lru_cache
 from itertools import chain
 from types import UnionType
-from typing import NoReturn, Union, get_args, get_origin, get_type_hints
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -413,40 +417,28 @@ def _quote(cell: str) -> str:
     return f"{cell[:_QUOTE_CHARS] + '…'!r} ({len(cell)} characters)"
 
 
-def _parse_time(cell: str, row: int, column: int) -> int:
+def _parse_cell(cell: str, row: int, column: int, kind: type) -> int | float:
+    """A time (``kind`` is int) within int64, or a value (``kind`` is
+    float) that is finite, by the strict rules, which raise the cell's error."""
     text = cell.strip()
     if not text:
         raise CsvParseError(row, column, "empty cell")
-    if "_" in text:
-        raise CsvParseError(row, column, f"invalid integer {_quote(cell)}")
+    what = "integer" if kind is int else "number"
     try:
-        value = int(text)
+        if "_" in text:  # int and float accept it; the format does not
+            raise ValueError
+        value = kind(text)
     except ValueError:
-        raise CsvParseError(row, column, f"invalid integer {_quote(cell)}") from None
-    if not -(2**63) <= value < 2**63:
-        raise CsvParseError(
-            row, column, f"integer {_quote(cell)} is out of the int64 range"
-        )
-    return value
-
-
-def _parse_value(cell: str, row: int, column: int) -> float:
-    text = cell.strip()
-    if not text:
-        raise CsvParseError(row, column, "empty cell")
-    if "_" in text:
-        raise CsvParseError(row, column, f"invalid number {_quote(cell)}")
-    try:
-        value = float(text)
-    except ValueError:
-        raise CsvParseError(row, column, f"invalid number {_quote(cell)}") from None
-    if not math.isfinite(value):
+        raise CsvParseError(row, column, f"invalid {what} {_quote(cell)}") from None
+    if kind is int and not -(2**63) <= value < 2**63:
+        raise CsvParseError(row, column, f"integer {_quote(cell)} is out of the int64 range")
+    if kind is float and not math.isfinite(value):
         raise CsvParseError(row, column, f"non-finite value {_quote(cell)}")
     return value
 
 
-#: Data rows per chunk of the converter.  A chunk that it rejects is
-#: checked again row by row, so an error costs at most this many strict rows.
+#: Data rows per chunk.  A chunk that numpy's reader refuses is converted
+#: row by row, so an error costs at most this many strict rows.
 _CHUNK_ROWS = 2048
 
 #: Text holding any of these goes to ``csv.reader``, the only tokenizer
@@ -454,72 +446,48 @@ _CHUNK_ROWS = 2048
 #: ``csv.reader`` refuses before Python 3.11).
 _READER_ONLY = ('"', "\r", "\0")
 
-
-class _LineRows:
-    """Rows of CSV text without quotes, carriage returns or NUL: the
-    non-blank lines, split on commas."""
-
-    def __init__(self, text: str) -> None:
-        self.lines = [line for line in text.split("\n") if line]
-        header = self.lines[0] if self.lines else ""
-        #: No data line holds an underscore, which ``int`` and ``float``
-        #: accept and the format does not, so ``_load_plain`` may convert them.
-        self.plain = text.find("_", text.find(header) + len(header)) < 0
-
-    def __len__(self) -> int:
-        return len(self.lines)
-
-    def row(self, index: int) -> list[str]:
-        return self.lines[index].split(",")
-
-    def cells(self, start: int, stop: int, width: int) -> list[str] | None:
-        """Rows ``[start, stop)`` as one row-major cell list, or None when
-        a row is not ``width`` cells wide or a cell holds an underscore."""
-        chunk = self.lines[start:stop]
-        commas = width - 1
-        if any(line.count(",") != commas for line in chunk):
-            return None
-        block = ",".join(chunk)
-        return None if "_" in block else block.split(",")
+#: No cell of a chunk that numpy's reader converts holds any of these: an
+#: underscore, which ``int`` and ``float`` accept and the format does not,
+#: or what a comma line joined from ``csv.reader`` cells would not carry
+#: to it as it is.
+_NOT_FOR_NUMPY = ("_", "\n", *_READER_ONLY)
 
 
-class _ReaderRows:
-    """Rows of any other CSV text, tokenized by ``csv.reader``."""
+def _tokenize(text: str) -> tuple[list[str], list[list[str]] | None]:
+    """The non-blank lines of CSV text, and None; or, for text holding a
+    quote, a carriage return or NUL, its non-blank ``csv.reader`` rows
+    joined back into comma lines, and the rows.  Split on commas, the
+    lines of any other text are the rows that ``csv.reader`` would give."""
+    if not any(c in text for c in _READER_ONLY):
+        return [line for line in text.split("\n") if line], None
+    try:
+        rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    except csv.Error as exc:
+        raise CsvFormatError(f"malformed CSV: {exc}") from None
+    return list(map(",".join, rows)), rows
 
-    plain = False  # only csv.reader tokenizes quotes, carriage returns and NUL
 
-    def __init__(self, text: str) -> None:
-        try:
-            self.rows = [row for row in csv.reader(io.StringIO(text)) if row]
-        except csv.Error as exc:
-            raise CsvFormatError(f"malformed CSV: {exc}") from None
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def row(self, index: int) -> list[str]:
-        return self.rows[index]
-
-    def cells(self, start: int, stop: int, width: int) -> list[str] | None:
-        """As ``_LineRows.cells``."""
-        chunk = self.rows[start:stop]
-        if any(len(row) != width for row in chunk):
-            return None
-        cells = [cell for row in chunk for cell in row]
-        return None if any("_" in cell for cell in cells) else cells
+def _numpy_may_read(lines: list[str], rows: list[list[str]] | None) -> bool:
+    """Whether no cell of a chunk holds what ``_NOT_FOR_NUMPY`` names and,
+    for ``csv.reader`` rows, whether their comma ``lines`` keep every cell
+    apart: a quoted comma would split one cell in two."""
+    block = ",".join(lines)
+    if rows is not None and block.count(",") != sum(map(len, rows)) - 1:
+        return False
+    return not any(c in block for c in _NOT_FOR_NUMPY)
 
 
 def _load_plain(lines: list[str], width: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Times and values of a chunk of plain lines without an underscore, by
+    """Times and values of a chunk of comma lines without an underscore, by
     numpy's C reader, or None if it refuses them or a check fails.
 
     The reader strips the same whitespace as ``str.strip`` and converts with
     the ``PyOS_string_to_double`` that ``float`` calls, but refuses non-ASCII
-    digits, so a value it accepts is what ``_parse_value`` gives.  Its shape
+    digits, so a value it accepts is what ``_parse_cell`` gives.  Its shape
     must be exactly one row of ``width`` cells per line, which catches ragged
     rows, trailing commas and any line it skipped.  The times are read again
     with ``int``; one padded with ``"\\x1c"`` to ``"\\x1f"``, which ``int``
-    refuses and ``_parse_time`` strips, is left to ``_convert``.
+    refuses and ``_parse_cell`` strips, is left to the strict rules.
     """
     try:
         table = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
@@ -531,37 +499,23 @@ def _load_plain(lines: list[str], width: int) -> tuple[np.ndarray, np.ndarray] |
     return times, table[:, 1:]
 
 
-def _convert(cells: list[str], width: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Times and values of a chunk's row-major cells, or None if any cell
-    breaks a rule.  A cell that ``int`` or ``float`` accepts, as it is or
-    stripped, in int64 or finite, passes ``_parse_time`` or
-    ``_parse_value`` with the same value unless it holds an underscore,
-    which the tokenizers screen out."""
-    try:
-        times = np.array(list(map(int, cells[::width])), dtype=np.int64)
-        table = np.array(list(map(float, cells)), dtype=np.float64)
-    except (ValueError, OverflowError):  # OverflowError: outside int64
-        # int and float refuse the "\x1c" to "\x1f" padding that str.strip removes
-        stripped = list(map(str.strip, cells))
-        return None if stripped == cells else _convert(stripped, width)
-    values = table.reshape(times.size, width)[:, 1:]
-    return (times, values) if np.isfinite(values).all() else None
-
-
-def _validate_row(row: list[str], offset: int, width: int, seen: set[int]) -> None:
-    """Raise the first error in data row ``offset``, else add its time to ``seen``."""
+def _convert_row(
+    row: list[str], offset: int, width: int, seen: set[int]
+) -> tuple[int, list[float]]:
+    """The time and values of data row ``offset`` by the strict rules, which
+    raise its first error; its time joins ``seen``."""
     if len(row) != width:
         raise CsvParseError(
             offset,
             len(row) + 1 if len(row) < width else width + 1,
             f"expected {width} fields, got {len(row)}",
         )
-    t = _parse_time(row[0], offset, 1)
+    t = _parse_cell(row[0], offset, 1, int)
     if t in seen:
         raise CsvFormatError(f"duplicate time {t} at row {offset}")
     seen.add(t)
-    for column, cell in enumerate(row[1:], start=2):
-        _parse_value(cell, offset, column)
+    values = [_parse_cell(cell, offset, column, float) for column, cell in enumerate(row[1:], 2)]
+    return t, values
 
 
 def _time_order(times: np.ndarray) -> np.ndarray:
@@ -576,24 +530,19 @@ def _time_order(times: np.ndarray) -> np.ndarray:
     return order
 
 
-def _reject_chunk(
-    rows: _LineRows | _ReaderRows,
-    start: int,
-    stop: int,
-    width: int,
-    earlier: list[np.ndarray],
-) -> NoReturn:
-    """Raise the error that the row-by-row rules meet first, given that
-    the converter rejected rows ``[start, stop)`` and accepted all before."""
+def _convert_rows(
+    rows: list[list[str]], first: int, width: int, earlier: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Times and values of the data rows from row ``first`` on by the strict
+    rules.  The times of the rows before, ``earlier``, are checked for
+    repeats first, so the error raised is the one that checking every row
+    in turn meets first."""
     times = np.concatenate(earlier) if earlier else np.empty(0, dtype=np.int64)
     _time_order(times)
     seen = set(times.tolist())
-    for index in range(start, stop):
-        _validate_row(rows.row(index), index + 1, width, seen)
-    raise ValidationError(
-        f"internal inconsistency: the CSV converter rejected rows {start + 1}-{stop} "
-        "that the strict rules accept"
-    )
+    converted = [_convert_row(row, first + i, width, seen) for i, row in enumerate(rows)]
+    times, values = zip(*converted)
+    return np.array(times, dtype=np.int64), np.array(values, dtype=np.float64)
 
 
 def parse_ensemble_csv(text: str) -> tuple[ObservationSeries, ModelEnsemble]:
@@ -609,25 +558,24 @@ def parse_ensemble_csv(text: str) -> tuple[ObservationSeries, ModelEnsemble]:
     quoted up to its first ``_QUOTE_CHARS`` characters.
 
     Text that holds a quote, a carriage return or NUL is tokenized by
-    ``csv.reader``; any other text is split into its non-blank lines and
-    those on commas, which is what ``csv.reader`` would give, faster.
-    The data rows are then converted in chunks of ``_CHUNK_ROWS``, by up
-    to three tiers.  A chunk of plain text is converted by numpy's C
-    reader (``_load_plain``) when no data line holds an underscore.  A
-    chunk that it refuses (non-ASCII digits, for example), and every
-    chunk of ``csv.reader`` rows, has its times go through ``int`` and
-    its values through ``float`` at once (``_convert``).  A
-    chunk with a row of the wrong width, an underscore, a cell that
-    ``int``/``float`` refuse, a time outside int64 or a non-finite value
-    is checked again row by row with the strict rules (``_validate_row``),
-    which raise the same error, at the same row and column, as checking
-    every row in turn would.  Repeated times are found over all chunks at
-    once.
+    ``csv.reader``, and its rows are joined back into comma lines; any
+    other text is split into its non-blank lines (``_tokenize``).  The
+    data lines are then converted in chunks of ``_CHUNK_ROWS`` by one of
+    two converters.  numpy's C reader (``_load_plain``) converts a chunk
+    when none of its cells holds an underscore or, for ``csv.reader``
+    rows, a comma, quote, CR, LF or NUL (``_numpy_may_read``); plain text
+    without an underscore after its header is screened once, not per
+    chunk.  A chunk that is screened out, or that numpy's reader refuses
+    (a row of the wrong width, a cell it cannot read, non-ASCII digits, a
+    time outside int64, a non-finite value), is converted row by row by
+    the strict rules (``_convert_rows``), which raise the same error, at
+    the same row and column, as checking every row in turn would.
+    Repeated times are found over all chunks at once.
     """
-    rows = _ReaderRows(text) if any(c in text for c in _READER_ONLY) else _LineRows(text)
-    if not len(rows):
+    lines, rows = _tokenize(text)
+    if not lines:
         raise CsvFormatError("input is empty")
-    header = [cell.strip() for cell in rows.row(0)]
+    header = [cell.strip() for cell in (lines[0].split(",") if rows is None else rows[0])]
     if len(header) < 3:
         raise CsvFormatError(
             "expected at least 3 columns (t, Y, and one model column); "
@@ -638,20 +586,23 @@ def parse_ensemble_csv(text: str) -> tuple[ObservationSeries, ModelEnsemble]:
             f"header must start with 't,Y'; got {','.join(header[:2])!r}"
         )
     names = header[2:]
-    if len(rows) < 2:
+    if len(lines) < 2:
         raise CsvFormatError("no data rows")
 
     width = len(header)
+    # Plain text with no underscore after its header needs no screen per chunk.
+    plain = rows is None and text.find("_", text.find(lines[0]) + len(lines[0])) < 0
     time_chunks: list[np.ndarray] = []
     value_chunks: list[np.ndarray] = []
-    for start in range(1, len(rows), _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, len(rows))
-        converted = _load_plain(rows.lines[start:stop], width) if rows.plain else None
+    for start in range(1, len(lines), _CHUNK_ROWS):
+        chunk = lines[start : start + _CHUNK_ROWS]
+        chunk_rows = None if rows is None else rows[start : start + _CHUNK_ROWS]
+        converted = None
+        if plain or _numpy_may_read(chunk, chunk_rows):
+            converted = _load_plain(chunk, width)
         if converted is None:
-            cells = rows.cells(start, stop, width)
-            converted = None if cells is None else _convert(cells, width)
-        if converted is None:
-            _reject_chunk(rows, start, stop, width, time_chunks)
+            chunk_rows = chunk_rows or [line.split(",") for line in chunk]
+            converted = _convert_rows(chunk_rows, start + 1, width, time_chunks)
         time_chunks.append(converted[0])
         value_chunks.append(converted[1])
 
@@ -664,18 +615,17 @@ def parse_ensemble_csv(text: str) -> tuple[ObservationSeries, ModelEnsemble]:
 
 
 def format_ensemble_csv(obs: ObservationSeries, ens: ModelEnsemble) -> str:
-    """Inverse of parse_ensemble_csv; floats use shortest exact notation."""
+    """Inverse of parse_ensemble_csv; floats use shortest exact notation.
+    A model name with surrounding whitespace is refused, since the parser
+    strips header cells and would read it back as another name."""
     if ens.n_points != obs.n_points:
         raise ValidationError("observations and ensemble must be aligned")
+    for name in ens.model_names:
+        if name != name.strip():
+            raise ValidationError(f"model name {_quote(name)} has surrounding whitespace")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["t", "Y", *ens.model_names])
-    for i in range(obs.n_points):
-        writer.writerow(
-            [
-                int(obs.times[i]),
-                repr(float(obs.values[i])),
-                *(repr(float(x)) for x in ens.outputs[:, i]),
-            ]
-        )
+    columns = np.vstack([obs.values, ens.outputs]).T.tolist()
+    writer.writerows([t, *map(repr, row)] for t, row in zip(obs.times.tolist(), columns))
     return buffer.getvalue()

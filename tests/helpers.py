@@ -39,7 +39,7 @@ from ensdiag import (
     model_scores,
     residuals,
 )
-from ensdiag.report import _parse_time, _parse_value
+from ensdiag.report import _parse_cell
 
 
 def random_residual_set(rng, m_range=(2, 8), t_range=(2, 64), scale=10.0):
@@ -322,13 +322,13 @@ def parse_csv_reference(text: str):
                 len(row) + 1 if len(row) < len(header) else len(header) + 1,
                 f"expected {len(header)} fields, got {len(row)}",
             )
-        t = _parse_time(row[0], offset, 1)
+        t = _parse_cell(row[0], offset, 1, int)
         if t in seen_times:
             raise CsvFormatError(f"duplicate time {t} at row {offset}")
         seen_times.add(t)
-        y = _parse_value(row[1], offset, 2)
+        y = _parse_cell(row[1], offset, 2, float)
         outputs = [
-            _parse_value(cell, offset, column)
+            _parse_cell(cell, offset, column, float)
             for column, cell in enumerate(row[2:], start=3)
         ]
         records.append((t, y, outputs))

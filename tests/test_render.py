@@ -6,11 +6,16 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from ensdiag import SweepRow, ValidationError, render_json
 from helpers import render_json_reference
+
+#: Every phase but shrinking: a failure is reported as first found, since
+#: shrinking the recursive payloads and long lists has no time limit and
+#: can stall the run for minutes.
+NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
 
 #: Floats whose ``%.17g`` text has no fraction, or only an exponent.
 INTEGRAL = [1.0, -1.0, 0.0, -0.0, 2.0**53, -(2.0**53), 1e16, 1e17, 1e22, 5e-324]
@@ -87,14 +92,14 @@ def _outcome(render, payload):
         return type(exc), str(exc)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400, deadline=None, phases=NO_SHRINK)
 @given(payloads)
 def test_bulk_render_matches_item_by_item(payload):
     expected = _outcome(lambda p: render_json_reference(p) + "\n", payload)
     assert _outcome(render_json, payload) == expected
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, phases=NO_SHRINK)
 @given(tuple_lists)
 def test_tuple_lists_render_as_their_items(tuples):
     expected = _outcome(lambda p: render_json_reference(p) + "\n", tuples)
@@ -212,7 +217,7 @@ def record_lists(draw):
     return draw(st.sampled_from([list, tuple]))(records)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, phases=NO_SHRINK)
 @given(record_lists())
 def test_record_lists_render_as_their_fields_item_by_item(records):
     expected = _outcome(
