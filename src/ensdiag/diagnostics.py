@@ -116,9 +116,8 @@ def check_result1(rs: ResidualSet, w: WeightVector) -> ResultVerdict:
     reported as witnesses.
     """
     _require_two_models(rs)
-    _check_weight_length(rs, w)
-    witnesses = _pairs_where(~(rs.entries > rs.s_min_sq))
     s_sq = ensemble_score(rs, w)
+    witnesses = _pairs_where(~(rs.entries > rs.s_min_sq))
     return ResultVerdict(
         hypothesis_holds=not witnesses,
         conclusion_holds=s_sq > rs.s_min_sq,
@@ -153,11 +152,10 @@ def check_result3(rs: ResidualSet, w: WeightVector) -> ResultVerdict:
     reported as witnesses.  Raises PerfectModelError like check_result2.
     """
     _require_two_models(rs)
-    _check_weight_length(rs, w)
+    s_sq = ensemble_score(rs, w)
     if rs.perfect:
         raise PerfectModelError(rs.perfect)
     witnesses = _pairs_where(rs.entries < rs.s_min_sq)
-    s_sq = ensemble_score(rs, w)
     return ResultVerdict(
         hypothesis_holds=s_sq < rs.s_min_sq,
         conclusion_holds=bool(witnesses),

@@ -119,9 +119,12 @@ class DiagnosticsReport:
 
     def __post_init__(self) -> None:
         """Refuse what ``build_report`` cannot produce, so that a parsed
-        report obeys the same rules: one entry per model, M×M matrices,
-        indices and witness pairs ``i < j`` in range, the best member's
-        name, and simplex weights."""
+        report obeys the same rules: an interval of ``n_points`` times, one
+        entry per model, M×M matrices, indices and witness pairs ``i < j``
+        in range, one best member in every verdict, the best member's name,
+        and simplex weights."""
+        if self.interval_end - self.interval_start + 1 != self.n_points:
+            raise _malformed("report.interval", f"not {self.n_points} consecutive times")
         m = len(self.model_names)
         for name in ("weights_used", "per_model_scores"):
             if len(getattr(self, name)) != m:
@@ -138,6 +141,8 @@ class DiagnosticsReport:
             verdict = getattr(self, name)
             if verdict is not None and not all(0 <= i < j < m for i, j in verdict.witnesses):
                 raise _malformed(f"report.{name}.witnesses", f"not all pairs i < j of {m} models")
+            if verdict is not None and verdict.best_model_index != self.best_index:
+                raise _malformed(f"report.{name}.best_model_index", "not best.index")
         if self.best_name != self.model_names[self.best_index]:
             raise _malformed("report.best_name", f"not model {self.best_index}'s name")
         try:
@@ -563,13 +568,12 @@ def parse_ensemble_csv(text: str) -> tuple[ObservationSeries, ModelEnsemble]:
     data lines are then converted in chunks of ``_CHUNK_ROWS`` by one of
     two converters.  numpy's C reader (``_load_plain``) converts a chunk
     when none of its cells holds an underscore or, for ``csv.reader``
-    rows, a comma, quote, CR, LF or NUL (``_numpy_may_read``); plain text
-    without an underscore after its header is screened once, not per
-    chunk.  A chunk that is screened out, or that numpy's reader refuses
-    (a row of the wrong width, a cell it cannot read, non-ASCII digits, a
-    time outside int64, a non-finite value), is converted row by row by
-    the strict rules (``_convert_rows``), which raise the same error, at
-    the same row and column, as checking every row in turn would.
+    rows, a comma, quote, CR, LF or NUL (``_numpy_may_read``).  A chunk
+    that is screened out, or that numpy's reader refuses (a row of the
+    wrong width, a cell it cannot read, non-ASCII digits, a time outside
+    int64, a non-finite value), is converted row by row by the strict
+    rules (``_convert_rows``), which raise the same error, at the same row
+    and column, as checking every row in turn would.
     Repeated times are found over all chunks at once.
     """
     lines, rows = _tokenize(text)
@@ -590,15 +594,13 @@ def parse_ensemble_csv(text: str) -> tuple[ObservationSeries, ModelEnsemble]:
         raise CsvFormatError("no data rows")
 
     width = len(header)
-    # Plain text with no underscore after its header needs no screen per chunk.
-    plain = rows is None and text.find("_", text.find(lines[0]) + len(lines[0])) < 0
     time_chunks: list[np.ndarray] = []
     value_chunks: list[np.ndarray] = []
     for start in range(1, len(lines), _CHUNK_ROWS):
         chunk = lines[start : start + _CHUNK_ROWS]
         chunk_rows = None if rows is None else rows[start : start + _CHUNK_ROWS]
         converted = None
-        if plain or _numpy_may_read(chunk, chunk_rows):
+        if _numpy_may_read(chunk, chunk_rows):
             converted = _load_plain(chunk, width)
         if converted is None:
             chunk_rows = chunk_rows or [line.split(",") for line in chunk]

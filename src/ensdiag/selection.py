@@ -106,15 +106,19 @@ def equally_bad_test(
 
     "About the same" means the worst score is within ``tol_equal``
     (relative) of the best; "badly" means the best score is at least
-    ``badness_floor`` times the observation mean-square.
+    ``badness_floor`` times the observation mean-square.  A NaN or
+    negative tolerance raises ValidationError.
     """
+    tol_equal, badness_floor = float(tol_equal), float(badness_floor)
+    if not (tol_equal >= 0.0 and badness_floor >= 0.0):
+        raise ValidationError("tol_equal and badness_floor must be non-negative numbers")
     mean_square = _observation_mean_square(rs, obs)
     scores = model_scores(rs)
     s_min = float(scores.min())
     s_max = float(scores.max())
     # Multiplicative forms: safe even if a member scores exactly zero.
-    spread_ok = s_max <= (1.0 + float(tol_equal)) * s_min
-    badly_ok = s_min >= float(badness_floor) * mean_square
+    spread_ok = s_max <= (1.0 + tol_equal) * s_min
+    badly_ok = s_min >= badness_floor * mean_square
     return bool(spread_ok and badly_ok)
 
 
@@ -130,11 +134,6 @@ def _cross_sums(entries: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     n, k = subsets.shape
     blocks = entries[subsets[:, :, None], subsets[:, None, :]].reshape(n, k * k)
     return blocks.sum(axis=1) - entries.diagonal()[subsets].sum(axis=1)
-
-
-def _cross_sum(entries: np.ndarray, subset: tuple[int, ...]) -> float:
-    """Ordered-pair sum of correspondences inside ``subset``."""
-    return float(_cross_sums(entries, np.array([subset], dtype=np.intp))[0])
 
 
 def _exhaustive_subset(entries: np.ndarray, k: int) -> tuple[int, ...]:
@@ -158,20 +157,19 @@ def _exhaustive_subset(entries: np.ndarray, k: int) -> tuple[int, ...]:
 
 
 def _greedy_subset(entries: np.ndarray, k: int) -> tuple[int, ...]:
+    """Greedy forward selection from the least-correspondent pair: each step
+    adds the member whose correspondences with the chosen ones sum least,
+    all candidates in one reduction.  Row ``c`` of the C-contiguous
+    transpose of the chosen rows is ``entries[chosen, c]``, so its sum has
+    the same bits as that 1-d sum; the smallest index wins ties."""
     m = entries.shape[0]
     rows, cols = np.triu_indices(m, k=1)
     seed = int(np.argmin(entries[rows, cols]))  # first minimum in row-major order
     chosen = [int(rows[seed]), int(cols[seed])]
     while len(chosen) < k:
-        best_candidate = -1
-        best_gain = math.inf
-        for candidate in range(m):
-            if candidate in chosen:
-                continue
-            gain = float(entries[chosen, candidate].sum())
-            if gain < best_gain:
-                best_candidate, best_gain = candidate, gain
-        chosen.append(best_candidate)
+        gains = np.ascontiguousarray(entries[chosen].T).sum(axis=1)
+        gains[chosen] = math.inf
+        chosen.append(int(np.argmin(gains)))  # first minimum
     return tuple(sorted(chosen))
 
 
@@ -198,12 +196,11 @@ def anti_correlated_subset(rs: ResidualSet, k: int) -> SelectionReport:
     if not math.isfinite(k * k * float(np.abs(entries).max())):
         raise ValidationError(f"correspondence entries are too large to sum over {k} models")
     if math.comb(m, k) <= EXHAUSTIVE_LIMIT:
-        method, subset = "exhaustive", _exhaustive_subset(entries, k)
+        method, kept = "exhaustive", _exhaustive_subset(entries, k)
     else:
-        method, subset = "greedy", _greedy_subset(entries, k)
-    kept = tuple(sorted(subset))
-    dropped = tuple(i for i in range(m) if i not in subset)
-    objective = _cross_sum(entries, kept) / (k * k)
+        method, kept = "greedy", _greedy_subset(entries, k)
+    dropped = tuple(i for i in range(m) if i not in kept)
+    objective = float(_cross_sums(entries, np.array([kept], dtype=np.intp))[0]) / (k * k)
     return SelectionReport(
         kept=kept,
         dropped=dropped,

@@ -17,7 +17,12 @@ import pytest
 import ensdiag
 from ensdiag import ModelEnsemble, ObservationSeries, format_ensemble_csv, report, selection
 from ensdiag.cli import build_parser, run_command
-from helpers import cross_sum_reference, exhaustive_subset_reference, render_json_reference
+from helpers import (
+    cross_sum_reference,
+    exhaustive_subset_reference,
+    greedy_subset_reference,
+    render_json_reference,
+)
 
 FIXTURE = "t,Y,alpha,beta,gamma\n" + "".join(
     f"{t},{y},{a},{b},{c}\n"
@@ -765,8 +770,9 @@ def _seeded_csv(path):
     return path
 
 
-#: Commands whose stdout goes through the batched exhaustive search or
-#: the column-by-column rendering of tuple and record lists: the sweep's
+#: Commands whose stdout goes through the batched exhaustive or greedy
+#: search (k = 10: C(20, 10) subsets take the greedy one) or the
+#: column-by-column rendering of tuple and record lists: the sweep's
 #: rows, and the witness lists of each verdict (177 pairs each here).
 BATCHED_COMMANDS = [
     ("diagnose",),
@@ -774,6 +780,7 @@ BATCHED_COMMANDS = [
     ("select", "--mode", "anticorr", "--k", "2"),
     ("select", "--mode", "anticorr", "--k", "3"),
     ("select", "--mode", "anticorr", "--k", "4"),
+    ("select", "--mode", "anticorr", "--k", "10"),
     ("sweep", "--window", "200", "--stride", "1"),
     ("sweep", "--window", "200", "--stride", "7"),
     ("sweep", "--window", "200", "--stride", "1", "--weights", "optimal"),
@@ -786,7 +793,12 @@ def test_anticorr_and_sweep_stdout_is_that_of_the_per_item_loops(tmp_path, monke
     path = _seeded_csv(tmp_path / "seeded.csv")
     batched = _run([*argv, "--input", str(path)])
     monkeypatch.setattr(selection, "_exhaustive_subset", exhaustive_subset_reference)
-    monkeypatch.setattr(selection, "_cross_sum", cross_sum_reference)
+    monkeypatch.setattr(selection, "_greedy_subset", greedy_subset_reference)
+    monkeypatch.setattr(
+        selection,
+        "_cross_sums",
+        lambda entries, subsets: np.array([cross_sum_reference(entries, s) for s in subsets]),
+    )
     monkeypatch.setattr(report, "_render_table", lambda values: None)
     per_item = _run([*argv, "--input", str(path)])
     assert batched[0] == 0 and batched[2] == ""

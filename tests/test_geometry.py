@@ -1,7 +1,9 @@
 """The shared residual geometry against the loop references it replaced."""
 
+import ast
 import importlib
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -49,12 +51,13 @@ def _with_duplicates(rng, base, zero_rows=False):
     return rows[rng.permutation(len(rows))]
 
 
-def _residual_sets(seed, n=300, zero_rows=False):
+def _residual_sets(seed, n=300, zero_rows=False, models=(2, 6)):
     """Small-integer residuals, so that correspondences tie exactly, with
-    duplicate members, so that scores and cosines tie too."""
+    duplicate members, so that scores and cosines tie too; ``models`` is
+    the range of distinct members."""
     rng = np.random.default_rng(seed)
     for _ in range(n):
-        m = int(rng.integers(2, 6))
+        m = int(rng.integers(*models))
         t = int(rng.integers(1, 9))
         base = rng.integers(-3, 4, size=(m, t)).astype(np.float64)
         yield rng, ResidualSet(_with_duplicates(rng, base, zero_rows))
@@ -102,7 +105,9 @@ def test_regime_matches_pair_loops():
 
 
 def test_greedy_subset_matches_pair_loop():
-    for _, rs in _residual_sets(431):
+    # 12 to 40 members: steps that sum 9 or more, where the order of the sum matters
+    wide = _residual_sets(433, n=20, models=(12, 39))
+    for _, rs in chain(_residual_sets(431), wide):
         entries = correspondence_matrix(rs).entries
         for k in range(2, rs.n_models + 1):
             assert _greedy_subset(entries, k) == greedy_subset_reference(entries, k)
@@ -203,3 +208,31 @@ def test_perfbench_trace_points_resolve(monkeypatch):
     for module_name, attr, _, _ in TRACE_POINTS:
         module = importlib.import_module(f"ensdiag.{module_name}")
         assert callable(getattr(module, attr, None)), f"ensdiag.{module_name}.{attr}"
+
+
+def _unused_imports(tree: ast.Module) -> set[str]:
+    """Names a module's imports bind that no expression reads and that its
+    ``__all__`` does not list."""
+    bound, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name).partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names if alias.name != "*")
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                used.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    return bound - used
+
+
+def test_every_unused_import_is_a_trace_point(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from worker import TRACE_POINTS
+
+    traced = {(module_name, attr) for module_name, attr, _, _ in TRACE_POINTS}
+    for path in sorted(Path(ensdiag.core.__file__).parent.glob("*.py")):
+        unused = {(path.stem, name) for name in _unused_imports(ast.parse(path.read_text()))}
+        assert unused <= traced, f"{path.name}: unused imports {sorted(unused - traced)}"

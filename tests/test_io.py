@@ -658,12 +658,19 @@ def _edits(*edits):
         _set("result2", "witnesses", value=[[0, 0]]),
         _set("result3", "witnesses", value=[[0, 1], [1, 3]]),
         _set("result3", "witnesses", value=[[-1, 1]]),
+        _set("result1", "best_model_index", value=7),
+        _set("result2", "best_model_index", value=-3),
+        _set("result3", "best_model_index", value=0),
+        _set("interval", "end", value=-5),
+        _set("interval", "n_points", value=5),
     ],
     ids=[
         "index-weights-and-names", "index-beyond-models", "negative-index", "other-best-name",
         "short-weights", "weights-off-simplex", "negative-weight", "long-scores",
         "short-matrix", "narrow-matrix", "perfect-beyond-models", "witness-order",
         "witness-self-pair", "witness-beyond-models", "negative-witness",
+        "verdict-index-beyond-models", "negative-verdict-index", "verdict-index-not-best",
+        "end-before-start", "interval-longer-than-its-times",
     ],
 )
 def test_parse_report_refuses_each_broken_invariant(edit):

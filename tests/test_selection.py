@@ -19,7 +19,7 @@ from ensdiag import (
     prescreen,
 )
 from ensdiag import selection
-from ensdiag.selection import _cross_sum, _exhaustive_subset, _greedy_subset
+from ensdiag.selection import _exhaustive_subset, _greedy_subset
 from helpers import (
     correspondence_oracle,
     cross_sum_reference,
@@ -124,6 +124,16 @@ def test_equally_bad_zero_observations():
         equally_bad_test(ResidualSet([[1.0, 1.0]]), _obs([0.0, 0.0]), 0.05, 10.0)
 
 
+@pytest.mark.parametrize(
+    "tol_equal, badness_floor",
+    [(math.nan, 10.0), (0.05, math.nan), (math.nan, math.nan), (-0.05, 10.0), (0.05, -1.0)],
+)
+def test_equally_bad_refuses_nan_or_negative_tolerances(tol_equal, badness_floor):
+    rs = ResidualSet([[1.0, 1.0], [1.0, -1.0]])
+    with pytest.raises(ValidationError, match="^tol_equal and badness_floor must be non-negative"):
+        equally_bad_test(rs, _obs([0.1, 0.1]), tol_equal, badness_floor)
+
+
 # ---------------------------------------------------------------------------
 # anti_correlated_subset
 # ---------------------------------------------------------------------------
@@ -167,7 +177,8 @@ def test_anticorr_greedy_never_beats_exhaustive():
         k = int(rng.integers(2, rs.n_models + 1))
         exhaustive = _exhaustive_subset(rs.entries, k)
         greedy = _greedy_subset(rs.entries, k)
-        assert _cross_sum(rs.entries, exhaustive) <= _cross_sum(rs.entries, greedy) + 1e-12 * k * k
+        least = cross_sum_reference(rs.entries, exhaustive)
+        assert least <= cross_sum_reference(rs.entries, greedy) + 1e-12 * k * k
         # the subset count puts every set of this size on the exhaustive side
         report = anti_correlated_subset(rs, k)
         assert (report.kept, report.criterion) == (exhaustive, "anticorr-exhaustive")
