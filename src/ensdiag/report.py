@@ -8,11 +8,14 @@ Reports are emitted as canonical JSON: fixed key order, floating-point
 values rendered with 17 significant digits (which round-trips float64
 exactly), matrices as row-major arrays of arrays, and a trailing
 newline.  Two runs on the same input and settings produce byte-identical
-text.  A float row (a matrix row, a score or weight list) takes one
-``%.17g`` pass.  A list of tuples (a witness list) or of records of one
-dataclass type (the sweep's rows) renders column by column when each
-column holds only exact floats, ints or bools.  Both give the bytes of
-rendering each item on its own.
+text.  A float row (a score or weight list) takes one ``%.17g`` pass.  A
+symmetric matrix (the correspondences, the cosines) takes one pass over
+its upper triangle, so each value and its mirror image are formatted
+once.  A list of tuples (a witness list) or of records of one dataclass
+type (the sweep's rows) renders column by column when each column holds
+only exact floats, ints or bools.  A value object that a payload holds
+twice (a report's shared Result 1/2 verdict) is rendered once.  All give
+the bytes of rendering each item on its own.
 
 The record dataclasses are the report's one schema.  A record renders as
 its fields in declaration order and an Enum as its value; ``parse_report``
@@ -30,7 +33,7 @@ import math
 import re
 from dataclasses import dataclass, is_dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
@@ -54,7 +57,7 @@ from .diagnostics import (
     ScoreBounds,
     _check_tolerances,
     check_result1,
-    check_result2,
+    check_result2,  # unused here; perfbench/worker.py traces it by name
     check_result3,
     classify_regime,
     schwartz_bounds,
@@ -139,6 +142,8 @@ class DiagnosticsReport:
             raise _malformed("report.perfect_models", f"not all of {m} models")
         for name in ("result1", "result2", "result3"):
             verdict = getattr(self, name)
+            if name == "result2" and verdict is self.result1:
+                continue  # build_report's one Result 1/2 verdict: checked once
             if verdict is not None and not all(0 <= i < j < m for i, j in verdict.witnesses):
                 raise _malformed(f"report.{name}.witnesses", f"not all pairs i < j of {m} models")
             if verdict is not None and verdict.best_model_index != self.best_index:
@@ -169,12 +174,16 @@ def build_report(
     """Run the full diagnostic battery and collect it into one report.
 
     The residual set is built once, and every check reads its geometry.
-    The regime tolerances are checked even where no regime is classified.
+    Result 1's verdict is computed once and, where the angles are
+    defined, reported as ``result2`` too: the cosine form is the same
+    comparison (``check_result2``).  The regime tolerances are checked
+    even where no regime is classified.
     """
     _check_tolerances(tol_equal, tol_cos)
     rs = residuals(ens, obs)
     m = ens.n_models
     angles_defined = m >= 2 and not rs.perfect
+    result1 = check_result1(rs, weights) if m >= 2 else None
     return DiagnosticsReport(
         interval_start=int(obs.times[0]),
         interval_end=int(obs.times[-1]),
@@ -189,8 +198,8 @@ def build_report(
         best_index=rs.best,
         best_name=ens.model_names[rs.best],
         s_min_sq=rs.s_min_sq,
-        result1=check_result1(rs, weights) if m >= 2 else None,
-        result2=check_result2(rs, weights) if angles_defined else None,
+        result1=result1,
+        result2=result1 if angles_defined else None,
         result3=check_result3(rs, weights) if angles_defined else None,
         bounds=schwartz_bounds(rs, weights),
         regime=classify_regime(rs, tol_equal, tol_cos) if angles_defined else None,
@@ -232,14 +241,36 @@ def _render_key(key: str) -> str:
     return json.dumps(key) + ":"
 
 
+def _render_matrix(rows) -> str | None:
+    """A symmetric matrix of exact floats, each value and its mirror image
+    formatted once, in one pass over the upper triangle; else None.  A zero
+    is left to the per-row pass: ``0.0 == -0.0``, so its mirror image may
+    have the other sign."""
+    m = len(rows)
+    if set(map(len, rows)) != {m} or tuple(rows) != tuple(zip(*rows)):
+        return None
+    if set(map(type, chain.from_iterable(rows))) != {float}:
+        return None
+    upper = list(chain.from_iterable([row[i:] for i, row in enumerate(rows)]))
+    if 0.0 in upper:
+        return None
+    texts = iter(_render_floats(upper)[1:-1].split(","))
+    grid = [[""] * i + list(islice(texts, m - i)) for i in range(m)]
+    for i, column in enumerate(list(zip(*grid))):  # row i up to the diagonal is column i
+        grid[i][:i] = column[:i]
+    return "[" + ",".join(["[" + ",".join(row) + "]" for row in grid]) + "]"
+
+
 def _render_table(values) -> str | None:
     """Equal-length tuples, or records of one dataclass type, column by
     column when each column is all exact floats, ints or bools; else None.
-    A matrix (first row all floats) is left to the faster per-row pass."""
+    A matrix (first row all floats) goes to ``_render_matrix``."""
     kind = type(values[0]) if values else None
     if set(map(type, values)) != {kind}:
         return None
-    if kind is tuple and set(map(type, values[0])) != {float}:
+    if kind is tuple and set(map(type, values[0])) == {float}:
+        return _render_matrix(values)
+    if kind is tuple:
         rows, template = values, "[" + ",".join(["%s"] * len(values[0])) + "]"
     elif is_dataclass(kind):
         rows = [vars(value).values() for value in values]
@@ -281,8 +312,12 @@ def _render(value) -> str:
         return _render_table(value) or "[" + ",".join([_render(item) for item in value]) + "]"
     if is_dataclass(value):  # a record: its fields, in declaration order
         value = vars(value)
-    if isinstance(value, dict):
-        parts = [_render_key(str(k)) + _render(v) for k, v in value.items()]
+    if isinstance(value, dict):  # a value object held twice is rendered once
+        texts = {}  # by id: the dict keeps every value alive
+        for v in value.values():
+            if id(v) not in texts:
+                texts[id(v)] = _render(v)
+        parts = [_render_key(str(k)) + texts[id(v)] for k, v in value.items()]
         return "{" + ",".join(parts) + "}"
     if isinstance(value, enum.Enum):
         return _render(value.value)
@@ -504,6 +539,14 @@ def _load_plain(lines: list[str], width: int) -> tuple[np.ndarray, np.ndarray] |
     return times, table[:, 1:]
 
 
+def _add_time(seen: set[int], t: int, row: int) -> None:
+    """Add row ``row``'s time to ``seen``, the times of the rows before it;
+    raise if one of them already has it."""
+    if t in seen:
+        raise CsvFormatError(f"duplicate time {t} at row {row}")
+    seen.add(t)
+
+
 def _convert_row(
     row: list[str], offset: int, width: int, seen: set[int]
 ) -> tuple[int, list[float]]:
@@ -516,9 +559,7 @@ def _convert_row(
             f"expected {width} fields, got {len(row)}",
         )
     t = _parse_cell(row[0], offset, 1, int)
-    if t in seen:
-        raise CsvFormatError(f"duplicate time {t} at row {offset}")
-    seen.add(t)
+    _add_time(seen, t, offset)
     values = [_parse_cell(cell, offset, column, float) for column, cell in enumerate(row[1:], 2)]
     return t, values
 
@@ -536,15 +577,10 @@ def _time_order(times: np.ndarray) -> np.ndarray:
 
 
 def _convert_rows(
-    rows: list[list[str]], first: int, width: int, earlier: list[np.ndarray]
+    rows: list[list[str]], first: int, width: int, seen: set[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Times and values of the data rows from row ``first`` on by the strict
-    rules.  The times of the rows before, ``earlier``, are checked for
-    repeats first, so the error raised is the one that checking every row
-    in turn meets first."""
-    times = np.concatenate(earlier) if earlier else np.empty(0, dtype=np.int64)
-    _time_order(times)
-    seen = set(times.tolist())
+    rules; ``seen`` holds the times of every row before them."""
     converted = [_convert_row(row, first + i, width, seen) for i, row in enumerate(rows)]
     times, values = zip(*converted)
     return np.array(times, dtype=np.int64), np.array(values, dtype=np.float64)
@@ -573,8 +609,10 @@ def parse_ensemble_csv(text: str) -> tuple[ObservationSeries, ModelEnsemble]:
     wrong width, a cell it cannot read, non-ASCII digits, a time outside
     int64, a non-finite value), is converted row by row by the strict
     rules (``_convert_rows``), which raise the same error, at the same row
-    and column, as checking every row in turn would.
-    Repeated times are found over all chunks at once.
+    and column, as checking every row in turn would: the times of the
+    rows before it are kept in one set, which the times of each chunk
+    join once, each checked for a repeat.  Repeated times are otherwise
+    found over all chunks at once.
     """
     lines, rows = _tokenize(text)
     if not lines:
@@ -596,6 +634,8 @@ def parse_ensemble_csv(text: str) -> tuple[ObservationSeries, ModelEnsemble]:
     width = len(header)
     time_chunks: list[np.ndarray] = []
     value_chunks: list[np.ndarray] = []
+    seen: set[int] = set()  # the times of the first ``checked`` chunks
+    checked = 0
     for start in range(1, len(lines), _CHUNK_ROWS):
         chunk = lines[start : start + _CHUNK_ROWS]
         chunk_rows = None if rows is None else rows[start : start + _CHUNK_ROWS]
@@ -604,7 +644,11 @@ def parse_ensemble_csv(text: str) -> tuple[ObservationSeries, ModelEnsemble]:
             converted = _load_plain(chunk, width)
         if converted is None:
             chunk_rows = chunk_rows or [line.split(",") for line in chunk]
-            converted = _convert_rows(chunk_rows, start + 1, width, time_chunks)
+            for i in range(checked, len(time_chunks)):  # each chunk's times join once
+                for row, t in enumerate(time_chunks[i].tolist(), 2 + i * _CHUNK_ROWS):
+                    _add_time(seen, t, row)
+            converted = _convert_rows(chunk_rows, start + 1, width, seen)
+            checked = len(time_chunks) + 1
         time_chunks.append(converted[0])
         value_chunks.append(converted[1])
 

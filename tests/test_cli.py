@@ -737,6 +737,19 @@ def test_result2_is_result1_where_division_by_the_scores_erases_a_one_ulp_gap(tm
     assert (data["result2"]["hypothesis_holds"], data["result2"]["witnesses"]) == (True, [])
 
 
+def test_a_diagnose_report_whose_result2_is_not_result1_reads_back_byte_for_byte(fixture_csv):
+    code, out, err = _run(["diagnose", "--input", str(fixture_csv)])
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["result2"] == data["result1"]
+    data["result2"]["hypothesis_holds"] = not data["result1"]["hypothesis_holds"]
+    data["result2"]["witnesses"] = [[0, 2]] if data["result1"]["witnesses"] != [[0, 2]] else []
+    text = ensdiag.render_json(data)
+    parsed = ensdiag.parse_report(text)
+    assert parsed.result2 != parsed.result1
+    assert ensdiag.emit_report(parsed) == text
+
+
 def test_result3_witnesses_a_correspondence_one_ulp_below_the_best_score(tmp_path):
     data = _residual_csv(tmp_path / "near-tie.csv", [
         [-0.575167777202622, 0.040946287172141375, 2.0330920537185277,
@@ -756,16 +769,16 @@ def test_result3_does_not_witness_a_duplicated_best_member(tmp_path):
     assert data["result3"]["witnesses"] == [[0, 2], [1, 2]]
 
 
-def _seeded_csv(path):
-    """20 models of 2,000 points, the observations plus a bias, a shared
-    error with loadings of both signs and an independent part."""
+def _seeded_csv(path, n_models=20):
+    """``n_models`` models of 2,000 points, the observations plus a bias, a
+    shared error with loadings of both signs and an independent part."""
     rng = np.random.default_rng(2015)
     t = np.arange(2000)
     y = 10.0 * np.sin(t / 50.0) + 2.0 * np.sin(t / 7.0)
-    loading = rng.uniform(-0.6, 1.2, (20, 1))
-    errors = loading * rng.normal(size=2000) + rng.normal(size=(20, 2000))
-    outputs = y + rng.normal(0.0, 0.3, (20, 1)) + errors
-    ens = ModelEnsemble(tuple(f"m{i}" for i in range(20)), outputs)
+    loading = rng.uniform(-0.6, 1.2, (n_models, 1))
+    errors = loading * rng.normal(size=2000) + rng.normal(size=(n_models, 2000))
+    outputs = y + rng.normal(0.0, 0.3, (n_models, 1)) + errors
+    ens = ModelEnsemble(tuple(f"m{i}" for i in range(n_models)), outputs)
     path.write_text(format_ensemble_csv(ObservationSeries(t, y), ens))
     return path
 
@@ -774,6 +787,8 @@ def _seeded_csv(path):
 #: search (k = 10: C(20, 10) subsets take the greedy one) or the
 #: column-by-column rendering of tuple and record lists: the sweep's
 #: rows, and the witness lists of each verdict (177 pairs each here).
+#: The matrices of ``diagnose`` go through the pass over their upper
+#: triangle, on 20 models and on 120.
 BATCHED_COMMANDS = [
     ("diagnose",),
     ("diagnose", "--weights", "optimal"),
@@ -788,9 +803,15 @@ BATCHED_COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("argv", BATCHED_COMMANDS, ids=" ".join)
-def test_anticorr_and_sweep_stdout_is_that_of_the_per_item_loops(tmp_path, monkeypatch, argv):
-    path = _seeded_csv(tmp_path / "seeded.csv")
+@pytest.mark.parametrize(
+    "argv, n_models",
+    [pytest.param(argv, 20, id=" ".join(argv)) for argv in BATCHED_COMMANDS]
+    + [pytest.param(("diagnose",), 120, id="diagnose 120 models")],
+)
+def test_anticorr_and_sweep_stdout_is_that_of_the_per_item_loops(
+    tmp_path, monkeypatch, argv, n_models
+):
+    path = _seeded_csv(tmp_path / "seeded.csv", n_models)
     batched = _run([*argv, "--input", str(path)])
     monkeypatch.setattr(selection, "_exhaustive_subset", exhaustive_subset_reference)
     monkeypatch.setattr(selection, "_greedy_subset", greedy_subset_reference)

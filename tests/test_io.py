@@ -222,6 +222,15 @@ CHUNK_CASES = {
         "t,Y,a", "0,0,1", "1,0,1", "2,0,1", "3,0,1", "1,0,1", "5,0,x"
     ),
     "duplicate across chunks": _csv("t,Y,a", "0,0,1", "1,0,1", "2,0,1", "3,0,1", "2,0,1"),
+    "duplicate across plain chunks, later strict chunk": _csv(
+        "t,Y,a", "0,0,1", "1,0,1", "2,0,1", "3,0,1", "1,0,1", "5,0,1", "6,0,٣"
+    ),
+    "strict chunk repeats a time two plain chunks back": _csv(
+        "t,Y,a", "0,0,1", "1,0,1", "2,0,1", "3,0,1", "4,0,1", "5,0,1", "6,0,٣", "1,0,1"
+    ),
+    "strict chunks around a plain one": _csv(
+        "t,Y,a", "0,0,٣", "1,0,1", "2,0,1", "3,0,1", "4,0,1", "5,0,1", "6,0,٣", "4,0,1"
+    ),
     "blank lines": "\n\nt,Y,a\n\n0,0,1\n\n\n1,0,1\n2,x,1\n",
     "underscore in a name": _csv("t,Y,gcm_a,gcm_b", "0,0,1,2", "1,0,1,2"),
     "underscore in the body": _csv("t,Y,a", "0,0,1", "1,1_0,1", "2,0,1"),
@@ -372,6 +381,17 @@ def test_plain_csv_takes_numpy_tier_unless_it_refuses(monkeypatch):
     assert len(converted) == 1 and 0 < len(validated) <= ensdiag.report._CHUNK_ROWS
 
 
+def test_strict_chunks_check_each_time_for_repeats_once(monkeypatch):
+    monkeypatch.setattr(ensdiag.report, "_CHUNK_ROWS", 16)
+    ordered = _counting(monkeypatch, "_time_order")
+    added = _counting(monkeypatch, "_add_time")
+    n = 40 * 16
+    rows = [f"{t},{t / 3!r},\u0663.5" if t % 16 == 5 else f"{t},{t / 3!r},-1e-3" for t in range(n)]
+    text = _csv("t,Y,a", *rows)  # numpy's reader refuses every chunk
+    assert _outcome(parse_ensemble_csv, text) == _outcome(parse_csv_reference, text)
+    assert sum(len(times) for times, in ordered) + len(added) <= 2 * n
+
+
 @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
 def test_reader_csv_takes_numpy_tier(monkeypatch, end):
     validated = _counting(monkeypatch, "_convert_row")
@@ -517,6 +537,13 @@ def test_report_matrices_serialized_symmetric():
         for j in range(3):
             assert corr[i][j] == corr[j][i]
             assert cos[i][j] == cos[j][i]
+
+
+def test_report_computes_result1_once_and_reports_it_as_result2():
+    report = _sample_report()
+    assert report.result2 is report.result1
+    parsed = parse_report(emit_report(report))
+    assert parsed.result2 == parsed.result1 and parsed.result2 is not parsed.result1
 
 
 def test_report_perfect_model_degenerate_form():

@@ -253,3 +253,99 @@ def test_sweep_rows_render_column_by_column():
     rows[3] = SweepRow(3, 12, 0, float("nan"), 1.0, False)
     with pytest.raises(ValidationError, match="must not contain NaN or infinite"):
         render_json({"rows": rows})
+
+
+# ---------------------------------------------------------------------------
+# float matrices, one pass over the upper triangle
+# ---------------------------------------------------------------------------
+
+
+#: One cell's replacement: a float, a zero of either sign, an integral
+#: float, a non-finite value, or a cell that is not an exact float.
+odd_cells = st.one_of(
+    plain_floats,
+    st.sampled_from([0.0, -0.0, 1.0, 1e17, float("nan"), float("inf"), -float("inf")]),
+    small_ints,
+    st.booleans(),
+    st.none(),
+    plain_floats.map(np.float64),
+)
+
+
+@st.composite
+def float_matrices(draw):
+    """Square float matrices of 1 to 12 rows, half of them or more
+    symmetric, with values drawn from a small pool so that they repeat;
+    sometimes with one cell replaced (alone, or with its mirror image in a
+    symmetric matrix) or one row cut."""
+    m = draw(st.integers(1, 12))
+    pool = draw(st.lists(plain_floats.filter(lambda x: x == x), min_size=1, max_size=5))
+    picks = random.Random(draw(st.integers(0, 2**32)))
+    cells = [[picks.choice(pool) for _ in range(m)] for _ in range(m)]
+    edit = draw(st.sampled_from(["none", "cell", "mirrored", "ragged"]))
+    if edit == "mirrored" or draw(st.booleans()):
+        for i in range(m):
+            for j in range(i):
+                cells[i][j] = cells[j][i]
+    i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+    if edit in ("cell", "mirrored"):
+        cells[i][j] = cell = draw(odd_cells)
+    if edit == "mirrored":  # equal, negated (-0.0 for 0.0), or a float equal to it
+        cells[j][i] = cell if cell is None else draw(st.sampled_from([cell, -cell, float(cell)]))
+    if edit == "ragged":
+        del cells[i][j]
+    return draw(st.sampled_from([tuple, list]))(map(tuple, cells))
+
+
+@settings(max_examples=300, deadline=None, phases=NO_SHRINK)
+@given(float_matrices())
+def test_float_matrices_render_as_their_rows(matrix):
+    expected = _outcome(lambda p: render_json_reference(p) + "\n", {"m": matrix})
+    assert _outcome(render_json, {"m": matrix}) == expected
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        ((0.5,),),
+        ((1.0,),),
+        ((-0.0,),),
+        ((1.0, 0.25), (0.25, 1.0)),  # symmetric
+        ((1.0, 0.25), (0.5, 1.0)),  # not symmetric
+        ((0.5, 0.5, 0.5),) * 3,  # one value
+        ((1.0, 0.0), (-0.0, 1.0)),  # equal zeros of both signs, mirrored
+        ((1.0, -0.0), (0.0, 1.0)),
+        ((0.0, 2.0), (2.0, -0.0)),  # both zeros on the diagonal
+        ((-0.0, 2.0), (2.0, 0.0)),
+        ((1.0, 1e17, -0.0), (1e17, 2.0**53, 5e-324), (-0.0, 5e-324, -1.0)),  # integral
+        ((1.0, 2.0), (2, 1.0)),  # an int equal to its mirror image
+        ((1.0, 1.0), (True, 1.0)),  # a bool equal to its mirror image
+        ((1.0, 2.5), (np.float64(2.5), 1.0)),
+        ((1.0, None), (None, 1.0)),
+        ((1.0, 0.5), (0.5,)),  # ragged
+        ((1.0, 0.5, 0.25), (0.5, 1.0, 0.75)),  # not square
+        [(1.0, 0.25), (0.25, 1.0)],  # a list of rows
+    ],
+)
+def test_float_matrices(matrix):
+    expected = _outcome(lambda p: render_json_reference(p) + "\n", {"m": matrix})
+    assert _outcome(render_json, {"m": matrix}) == expected
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_non_finite_cell_in_a_matrix_is_rejected(bad, mirrored):
+    matrix = [[0.25] * 5 for _ in range(5)]
+    matrix[1][3] = bad
+    if mirrored:
+        matrix[3][1] = bad
+    with pytest.raises(ValidationError, match="must not contain NaN or infinite"):
+        render_json({"m": tuple(map(tuple, matrix))})
+
+
+def test_a_value_held_twice_renders_as_each_copy():
+    row, pairs = [0.5, 1.0], ((0, 1), (1, 2))
+    payload = {"a": row, "b": pairs, "c": row, "d": {"e": pairs}, "f": pairs}
+    assert render_json(payload) == render_json_reference(payload) + "\n"
+    with pytest.raises(ValidationError, match="must not contain NaN or infinite"):
+        render_json({"a": [float("nan")], "b": None})
