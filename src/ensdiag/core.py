@@ -17,6 +17,7 @@ that takes the set reads that one geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -164,6 +165,12 @@ class ResidualSet:
     row is all zero; ``cosines``, the cosine matrix, None when a member is
     perfect.  Residuals whose correspondences overflow, or whose nonzero
     rows score 0, raise ValidationError.
+
+    Two quantities are formed on first use and kept: ``witness_pairs``,
+    the pairs whose correspondence is at most ``s_min_sq`` and those
+    strictly below it (the witnesses of Results 1 and 3), from one
+    comparison; and, through ``ensemble_score``, the score of the last
+    weights the set was scored with.
     """
 
     residuals: np.ndarray
@@ -175,6 +182,7 @@ class ResidualSet:
     s_min_sq: float = field(init=False, repr=False)
     perfect: tuple[int, ...] = field(init=False, repr=False)
     cosines: np.ndarray | None = field(init=False, repr=False)
+    _last_score: tuple | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         arr = _frozen_float_array(self.residuals, "residuals", order="C")
@@ -220,6 +228,18 @@ class ResidualSet:
         ``2 * entries[b]`` at the vertex has no descent direction.
         """
         return bool(np.all(self.entries[self.best] >= self.s_min_sq))
+
+    @cached_property
+    def witness_pairs(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+        """The pairs (i, j), i < j, in row-major order, whose correspondence
+        is at most ``s_min_sq``, and those strictly below it: one comparison,
+        with and without ties.  With no tie, both are the same tuple."""
+        rows, cols = np.nonzero(np.triu(self.entries <= self.s_min_sq, k=1))
+        at_most = tuple(zip(rows.tolist(), cols.tolist()))
+        ties = self.entries[rows, cols] == self.s_min_sq
+        if not ties.any():
+            return at_most, at_most
+        return at_most, tuple(zip(rows[~ties].tolist(), cols[~ties].tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,6 +351,15 @@ def _refuse_false_zeros(scores: np.ndarray, z: np.ndarray) -> None:
         raise ValidationError("residuals too small: a nonzero residual row scores 0")
 
 
+def _close(a: np.ndarray, b: np.ndarray) -> bool:
+    """``np.allclose(a, b, rtol=1e-12, atol=0.0)``, written out without its
+    per-call set-up: within ``1e-12 * |b|`` where ``b`` is finite, else
+    equal (so equal infinities agree and NaN agrees with nothing).  An
+    infinity minus itself is NaN, so call it with invalid operations
+    ignored."""
+    return bool(((np.abs(a - b) <= 1e-12 * np.abs(b)) & np.isfinite(b) | (a == b)).all())
+
+
 def _correspondence_entries(rs: ResidualSet) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric correspondence array of a set under construction and the
     direct per-model scores, which its diagonal is checked against and then
@@ -340,9 +369,10 @@ def _correspondence_entries(rs: ResidualSet) -> tuple[np.ndarray, np.ndarray]:
         raw = (z @ z.T) / rs.n_points
         entries = 0.5 * (raw + raw.T)
         scores = _mean_square(z)
+        agree = _close(entries.diagonal(), scores)
     _require_finite(entries, "correspondence entries")
     _refuse_false_zeros(np.minimum(scores, entries.diagonal()), z)
-    if not np.allclose(entries.diagonal(), scores, rtol=1e-12, atol=0.0):
+    if not agree:
         raise EnsdiagError(
             "internal inconsistency: correspondence diagonal departs from "
             "the per-model scores"
@@ -396,7 +426,16 @@ def ensemble_score(rs: ResidualSet, w: WeightVector) -> float:
     SCORE_AGREEMENT_RTOL relative to ``w @ |R| @ w``, the size of the
     expansion's terms, so that exact cancellations near zero do not trip
     the check; the direct value is returned.
+
+    The set keeps the last weights object it was scored with, and that
+    score: the same ``w`` again returns it without recomputing, so the
+    checks of one report cross-check once.  The memo keys on identity
+    and holds ``w``, and both objects are immutable; an equal but new
+    WeightVector is scored afresh.
     """
+    last = rs._last_score
+    if last is not None and last[0] is w:
+        return last[1]
     weights = _check_weight_length(rs, w)
     direct = float(_mean_square(average_residual(rs, w)))
     expansion = float(weights @ rs.entries @ weights)
@@ -407,4 +446,5 @@ def ensemble_score(rs: ResidualSet, w: WeightVector) -> float:
             "internal inconsistency: direct ensemble score "
             f"{direct!r} and its expansion {expansion!r} disagree"
         )
+    object.__setattr__(rs, "_last_score", (w, direct))
     return direct

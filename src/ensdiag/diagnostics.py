@@ -8,8 +8,10 @@ Each verdict records its hypothesis and conclusion separately; the
 implications between them are verified by the test suite, never assumed.
 
 Every check reads the Gram geometry that the ``ResidualSet`` formed when
-it was constructed, so the checks of one set share it.  Each pair test
-compares the correspondences over the upper triangle, in row-major order.
+it was constructed, so the checks of one set share it.  The witness pairs
+of Results 1 and 3 come from one comparison of the correspondences over
+the upper triangle, in row-major order, with and without ties, which the
+set makes once (``ResidualSet.witness_pairs``).
 """
 
 from __future__ import annotations
@@ -101,23 +103,18 @@ def _check_tolerances(tol_equal: float, tol_cos: float) -> None:
         raise ValidationError("regime tolerances must lie strictly between 0 and 1")
 
 
-def _pairs_where(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
-    """The pairs (i, j), i < j, where ``mask`` holds, in row-major order."""
-    rows, cols = np.nonzero(np.triu(mask, k=1))
-    return tuple(zip(rows.tolist(), cols.tolist()))
-
-
 def check_result1(rs: ResidualSet, w: WeightVector) -> ResultVerdict:
     """Sufficient condition, correspondence form.
 
     Hypothesis: every off-diagonal correspondence strictly exceeds the
     best member's score.  Conclusion: the average scores strictly worse
     than the best member.  Ties count against the hypothesis and are
-    reported as witnesses.
+    reported as witnesses.  The witnesses are the set's
+    ``witness_pairs[0]``, formed once per set.
     """
     _require_two_models(rs)
     s_sq = ensemble_score(rs, w)
-    witnesses = _pairs_where(~(rs.entries > rs.s_min_sq))
+    witnesses = rs.witness_pairs[0]
     return ResultVerdict(
         hypothesis_holds=not witnesses,
         conclusion_holds=s_sq > rs.s_min_sq,
@@ -149,13 +146,15 @@ def check_result3(rs: ResidualSet, w: WeightVector) -> ResultVerdict:
     Hypothesis: the average scores strictly better than the best member.
     Conclusion: some pair's cosine falls below ``S_min^2 / (S_m S_m')``,
     i.e. its correspondence falls below ``S_min^2``.  All such pairs are
-    reported as witnesses.  Raises PerfectModelError like check_result2.
+    reported as witnesses: the set's ``witness_pairs[1]``, which is the
+    very tuple of ``check_result1``'s witnesses when no correspondence
+    equals ``S_min^2``.  Raises PerfectModelError like check_result2.
     """
     _require_two_models(rs)
     s_sq = ensemble_score(rs, w)
     if rs.perfect:
         raise PerfectModelError(rs.perfect)
-    witnesses = _pairs_where(rs.entries < rs.s_min_sq)
+    witnesses = rs.witness_pairs[1]
     return ResultVerdict(
         hypothesis_holds=s_sq < rs.s_min_sq,
         conclusion_holds=bool(witnesses),

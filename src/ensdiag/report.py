@@ -13,9 +13,12 @@ symmetric matrix (the correspondences, the cosines) takes one pass over
 its upper triangle, so each value and its mirror image are formatted
 once.  A list of tuples (a witness list) or of records of one dataclass
 type (the sweep's rows) renders column by column when each column holds
-only exact floats, ints or bools.  A value object that a payload holds
-twice (a report's shared Result 1/2 verdict) is rendered once.  All give
-the bytes of rendering each item on its own.
+only exact floats, ints or bools, and in one pass when every cell is an
+exact int (a witness list).  A shared object, one that the payload's
+dicts and records hold more than once anywhere in it (a report's Result
+1/2 verdict, or Result 3's witness list when it is Result 1's), is
+rendered once per payload.  All give the bytes of rendering each item on
+its own.
 
 The record dataclasses are the report's one schema.  A record renders as
 its fields in declaration order and an Enum as its value; ``parse_report``
@@ -124,8 +127,8 @@ class DiagnosticsReport:
         """Refuse what ``build_report`` cannot produce, so that a parsed
         report obeys the same rules: an interval of ``n_points`` times, one
         entry per model, M×M matrices, indices and witness pairs ``i < j``
-        in range, one best member in every verdict, the best member's name,
-        and simplex weights."""
+        in range (each distinct witness tuple checked once), one best member
+        in every verdict, the best member's name, and simplex weights."""
         if self.interval_end - self.interval_start + 1 != self.n_points:
             raise _malformed("report.interval", f"not {self.n_points} consecutive times")
         m = len(self.model_names)
@@ -140,13 +143,16 @@ class DiagnosticsReport:
             raise _malformed("report.best_index", f"{self.best_index} is not one of {m} models")
         if not all(0 <= i < m for i in self.perfect_models):
             raise _malformed("report.perfect_models", f"not all of {m} models")
+        walked = set()  # ids of valid witness tuples: one that verdicts share is walked once
         for name in ("result1", "result2", "result3"):
             verdict = getattr(self, name)
-            if name == "result2" and verdict is self.result1:
-                continue  # build_report's one Result 1/2 verdict: checked once
-            if verdict is not None and not all(0 <= i < j < m for i, j in verdict.witnesses):
-                raise _malformed(f"report.{name}.witnesses", f"not all pairs i < j of {m} models")
-            if verdict is not None and verdict.best_model_index != self.best_index:
+            if verdict is None:
+                continue
+            if id(verdict.witnesses) not in walked:
+                if not all(0 <= i < j < m for i, j in verdict.witnesses):
+                    raise _malformed(f"report.{name}.witnesses", f"not all pairs i < j of {m} models")
+                walked.add(id(verdict.witnesses))
+            if verdict.best_model_index != self.best_index:
                 raise _malformed(f"report.{name}.best_model_index", "not best.index")
         if self.best_name != self.model_names[self.best_index]:
             raise _malformed("report.best_name", f"not model {self.best_index}'s name")
@@ -176,7 +182,10 @@ def build_report(
     The residual set is built once, and every check reads its geometry.
     Result 1's verdict is computed once and, where the angles are
     defined, reported as ``result2`` too: the cosine form is the same
-    comparison (``check_result2``).  The regime tolerances are checked
+    comparison (``check_result2``).  The checks share one ensemble score,
+    cross-checked once (``ensemble_score``), and Result 3 shares Result
+    1's witness list when no correspondence ties ``S_min^2``
+    (``ResidualSet.witness_pairs``).  The regime tolerances are checked
     even where no regime is classified.
     """
     _check_tolerances(tol_equal, tol_cos)
@@ -264,7 +273,9 @@ def _render_matrix(rows) -> str | None:
 def _render_table(values) -> str | None:
     """Equal-length tuples, or records of one dataclass type, column by
     column when each column is all exact floats, ints or bools; else None.
-    A matrix (first row all floats) goes to ``_render_matrix``."""
+    Tuples whose cells are all exact ints take one pass, with no work per
+    column (``"%s"`` gives ``str(int)``), and a matrix (first row all
+    floats) goes to ``_render_matrix``."""
     kind = type(values[0]) if values else None
     if set(map(type, values)) != {kind}:
         return None
@@ -282,6 +293,8 @@ def _render_table(values) -> str | None:
     if set(map(len, rows)) != {width}:
         return None
     cells = list(chain.from_iterable(rows))  # row-major: column j is cells[j::width]
+    if kind is tuple and set(map(type, cells)) == {int}:  # a witness list: one pass
+        return "[" + ",".join([template] * len(values)) % tuple(cells) + "]"
     columns = [cells[j::width] for j in range(width)]
     kinds = [set(map(type, column)) for column in columns]
     if not all(types in ({float}, {int}, {bool}) for types in kinds):
@@ -295,7 +308,22 @@ def _render_table(values) -> str | None:
     return "[" + ",".join([template] * len(values)) % tuple(cells) + "]"
 
 
-def _render(value) -> str:
+def _render(value, texts: dict) -> str:
+    """``value`` as canonical JSON.  ``texts`` holds, by id, the text of
+    every dict value rendered so far in the payload, so an object held
+    twice is rendered once; the payload keeps each of them alive, so no
+    id is reused during the render.  Exact floats, ints, strs and bools
+    are tested before the ``isinstance`` chain that their subclasses and
+    numpy's scalars take."""
+    kind = type(value)
+    if kind is float:
+        return _render_floats((value,))[1:-1]
+    if kind is int:
+        return str(value)
+    if kind is str:
+        return json.dumps(value, ensure_ascii=False)
+    if kind is bool:
+        return "true" if value else "false"
     if value is None:
         return "null"
     if isinstance(value, (bool, np.bool_)):
@@ -309,18 +337,19 @@ def _render(value) -> str:
     if isinstance(value, (list, tuple)):
         if set(map(type, value)) == {float}:
             return _render_floats(value)
-        return _render_table(value) or "[" + ",".join([_render(item) for item in value]) + "]"
+        return _render_table(value) or "[" + ",".join([_render(item, texts) for item in value]) + "]"
     if is_dataclass(value):  # a record: its fields, in declaration order
         value = vars(value)
-    if isinstance(value, dict):  # a value object held twice is rendered once
-        texts = {}  # by id: the dict keeps every value alive
-        for v in value.values():
-            if id(v) not in texts:
-                texts[id(v)] = _render(v)
-        parts = [_render_key(str(k)) + texts[id(v)] for k, v in value.items()]
+    if isinstance(value, dict):
+        parts = []
+        for k, v in value.items():
+            text = texts.get(id(v))
+            if text is None:
+                text = texts[id(v)] = _render(v, texts)
+            parts.append(_render_key(str(k)) + text)
         return "{" + ",".join(parts) + "}"
     if isinstance(value, enum.Enum):
-        return _render(value.value)
+        return _render(value.value, texts)
     raise TypeError(f"cannot serialize {type(value).__name__} to canonical JSON")
 
 
@@ -331,7 +360,7 @@ def render_json(payload: dict) -> str:
     and no whitespace is inserted, so equal payloads yield byte-equal
     text.
     """
-    return _render(payload) + "\n"
+    return _render(payload, {}) + "\n"
 
 
 #: The report fields that JSON nests, each with its object and its key

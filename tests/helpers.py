@@ -15,12 +15,14 @@ for float rows, witness lists and record lists.
 from __future__ import annotations
 
 import csv
+import enum
 import io
 import json
 import math
 from itertools import combinations
 
 import numpy as np
+from hypothesis import Phase
 
 from ensdiag import (
     TIGHT_COSINE_TOL,
@@ -40,6 +42,11 @@ from ensdiag import (
     residuals,
 )
 from ensdiag.report import _parse_cell
+
+#: Every phase but shrinking, for property tests: a failure is reported as
+#: first found, since shrinking recursive payloads and long lists has no
+#: time limit and can stall the run for minutes.
+NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
 
 
 def random_residual_set(rng, m_range=(2, 8), t_range=(2, 64), scale=10.0):
@@ -353,7 +360,8 @@ def _format_float_reference(value: float) -> str:
 
 def render_json_reference(value) -> str:
     """Canonical JSON as ``report._render`` before its bulk paths: one
-    ``isinstance`` chain and one ``format`` call per value, no newline."""
+    ``isinstance`` chain and one ``format`` call per value, an Enum as its
+    value, no newline."""
     if value is None:
         return "null"
     if isinstance(value, (bool, np.bool_)):
@@ -371,4 +379,6 @@ def render_json_reference(value) -> str:
             f"{json.dumps(str(k))}:{render_json_reference(v)}" for k, v in value.items()
         )
         return "{" + ",".join(parts) + "}"
+    if isinstance(value, enum.Enum):
+        return render_json_reference(value.value)
     raise TypeError(f"cannot serialize {type(value).__name__} to canonical JSON")

@@ -1,5 +1,7 @@
 """Core data model and first-order metric tests."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,9 @@ from ensdiag import (
     model_scores,
     residuals,
 )
+from ensdiag.core import _close
 from helpers import (
+    NO_SHRINK,
     correspondence_oracle,
     dyadic_array,
     expansion_oracle,
@@ -452,3 +456,50 @@ def test_score_equals_quadratic_form():
         entries = correspondence_matrix(rs).entries
         quad = float(w.weights @ entries @ w.weights)
         assert ensemble_score(rs, w) == pytest.approx(quad, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the diagonal cross-check's comparison
+# ---------------------------------------------------------------------------
+
+#: Zeros, subnormals, the extremes, infinities and NaN.
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1.0, -1.0,
+           1.7976931348623157e308, -1.7976931348623157e308, np.inf, -np.inf, np.nan]
+any_float = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infinity=True))
+#: ``a`` at or near ``b``: equal, a few ulps off, or about rtol = 1e-12 off.
+near = st.sampled_from([0.0, 1e-16, -1e-16, 5e-13, -5e-13, 1e-12, -1e-12, 1.0000001e-12, 2e-12])
+pairs = st.one_of(
+    st.tuples(any_float, any_float),
+    st.tuples(any_float, near).map(lambda bd: (bd[0] * (1.0 + bd[1]), bd[0])),
+    st.tuples(any_float, near).map(lambda bd: (bd[0], bd[0] * (1.0 + bd[1]))),
+    st.tuples(any_float, st.integers(-3, 3)).map(lambda bk: (_ulps_away(*bk), bk[0])),
+)
+
+
+def _ulps_away(x: float, k: int) -> float:
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@settings(max_examples=500, deadline=None, phases=NO_SHRINK)
+@given(st.lists(pairs, min_size=1, max_size=6))
+def test_diagonal_comparison_is_allclose(items):
+    a, b = (np.array(column, dtype=np.float64) for column in zip(*items))
+    with np.errstate(all="ignore"):
+        expected = bool(np.allclose(a, b, rtol=1e-12, atol=0.0))
+        assert _close(a, b) == expected
+        assert all(_close(a[i : i + 1], b[i : i + 1]) == np.isclose(a[i], b[i], rtol=1e-12, atol=0.0)
+                   for i in range(a.size))
+
+
+def test_diagonal_comparison_named_cases():
+    with np.errstate(all="ignore"):
+        for a, b, agree in [
+            (np.inf, np.inf, True), (-np.inf, -np.inf, True), (np.inf, -np.inf, False),
+            (1.0, np.inf, False), (np.inf, 1.0, False), (np.nan, np.nan, False),
+            (np.nan, 1.0, False), (0.0, -0.0, True), (5e-324, 0.0, False),
+            (1.0 + 5e-13, 1.0, True), (1.0 + 3e-12, 1.0, False),
+        ]:
+            assert _close(np.array([a]), np.array([b])) is agree
+            assert np.allclose(a, b, rtol=1e-12, atol=0.0) == agree

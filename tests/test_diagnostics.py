@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ensdiag import core
 from ensdiag import (
     PerfectModelError,
     Regime,
@@ -15,6 +16,7 @@ from ensdiag import (
     check_result2,
     check_result3,
     classify_regime,
+    ensemble_score,
     parse_ensemble_csv,
     schwartz_bounds,
     uniform_weights,
@@ -346,3 +348,75 @@ def test_pair_condition_is_one_comparison_on_near_ties():
         clear = np.abs(rs.entries - rs.s_min_sq) > 1e-12 * rs.s_min_sq
         assert np.array_equal((rs.cosines > thresholds)[clear], (rs.entries > rs.s_min_sq)[clear])
         assert np.array_equal((rs.cosines < thresholds)[clear], (rs.entries < rs.s_min_sq)[clear])
+
+
+# ---------------------------------------------------------------------------
+# quantities formed once per set
+# ---------------------------------------------------------------------------
+
+
+def _count_cross_checks(monkeypatch):
+    """A list that grows by one for each ensemble-score cross-check: each
+    computes the averaged residual once."""
+    calls = []
+    average_residual = core.average_residual
+
+    def counted(rs, w):
+        calls.append(w)
+        return average_residual(rs, w)
+
+    monkeypatch.setattr(core, "average_residual", counted)
+    return calls
+
+
+def test_checks_on_one_input_cross_check_the_ensemble_score_once(monkeypatch):
+    calls = _count_cross_checks(monkeypatch)
+    rs = ResidualSet([[1.0, 0.5, -0.25], [0.5, -1.0, 2.0], [-0.75, 0.25, 1.0]])
+    w = WeightVector([0.5, 0.25, 0.25])
+    s_sq = ensemble_score(rs, w)
+    assert check_result1(rs, w).s_sq == s_sq
+    assert check_result3(rs, w).s_sq == s_sq
+    assert schwartz_bounds(rs, w).actual == s_sq
+    assert calls == [w]
+    assert ensemble_score(rs, WeightVector([0.5, 0.25, 0.25])) == s_sq  # equal, not the same
+    assert len(calls) == 2
+
+
+def test_a_new_set_or_new_weights_are_scored_afresh(monkeypatch):
+    calls = _count_cross_checks(monkeypatch)
+    rows = [[1.0, 2.0], [3.0, -1.0]]
+    rs, w, v = ResidualSet(rows), WeightVector([0.5, 0.5]), WeightVector([1.0, 0.0])
+    assert [ensemble_score(rs, w), ensemble_score(rs, v), ensemble_score(rs, w)] == [2.125, 2.5, 2.125]
+    assert ensemble_score(ResidualSet(rows), w) == 2.125
+    assert calls == [w, v, w, w]
+
+
+def test_ties_count_for_result1_and_not_for_result3():
+    # R00 = R01 = 0.5 = S_min^2 exactly, R11 = 1
+    rs = ResidualSet([[1.0, 0.0], [1.0, 1.0]])
+    assert (rs.s_min_sq, rs.entries[0, 1]) == (0.5, 0.5)
+    assert check_result1(rs, HALF).witnesses == ((0, 1),)
+    assert check_result3(rs, HALF).witnesses == ()
+    assert rs.witness_pairs == (((0, 1),), ())
+
+
+def test_result3_shares_result1s_witnesses_when_nothing_ties():
+    rng = np.random.default_rng(521)
+    shared = 0
+    for _ in range(200):
+        rs = random_residual_set(rng)
+        w = random_weights(rng, rs.n_models)
+        result1, result3 = check_result1(rs, w), check_result3(rs, w)
+        reference = witnesses_reference(rs)
+        assert (result1.witnesses, result3.witnesses) == (reference[0], reference[2])
+        ties = np.triu(rs.entries == rs.s_min_sq, k=1).any()
+        assert (result3.witnesses is result1.witnesses) == (not ties)
+        shared += not ties
+    assert shared > 100
+
+
+def test_witness_lists_with_ties_match_the_pair_loops():
+    for _, rs in _duplicated_best_sets(523, 300):
+        reference = witnesses_reference(rs)
+        assert rs.witness_pairs == (reference[0], reference[2])
+        assert rs.witness_pairs[0] is not rs.witness_pairs[1]  # the best row repeats: a tie

@@ -1,11 +1,13 @@
 """CSV parsing, report building, and deterministic JSON serialization."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+import ensdiag.core
 import ensdiag.report
 from ensdiag import (
     CsvFormatError,
@@ -544,6 +546,32 @@ def test_report_computes_result1_once_and_reports_it_as_result2():
     assert report.result2 is report.result1
     parsed = parse_report(emit_report(report))
     assert parsed.result2 == parsed.result1 and parsed.result2 is not parsed.result1
+
+
+def test_report_cross_checks_its_ensemble_score_once(monkeypatch):
+    calls = []
+    average_residual = ensdiag.core.average_residual
+    monkeypatch.setattr(
+        ensdiag.core, "average_residual", lambda rs, w: calls.append(w) or average_residual(rs, w)
+    )
+    weights = uniform_weights(3)
+    report = build_report(*_sample_inputs(), weights)
+    assert calls == [weights]
+    assert report.result1.s_sq == report.result3.s_sq == report.bounds.actual == report.ensemble_score
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [((0, 1), (1, 3)), ((0, 2), (2, 1)), ((-1, 1),), ((np.int64(1), np.int64(1)),)],
+    ids=["beyond-models", "order", "negative", "numpy-self-pair"],
+)
+def test_report_refuses_a_bad_result3_list_beside_a_valid_result1(bad):
+    report = _sample_report()
+    assert report.result3.witnesses is report.result1.witnesses  # no tie: one list
+    with pytest.raises(ValidationError, match=r"^malformed report structure: report\.result3\.witnesses"):
+        dataclasses.replace(report, result3=dataclasses.replace(report.result3, witnesses=bad))
+    valid = ((0, 1), (np.int64(0), np.int64(2)), (1, 2))
+    dataclasses.replace(report, result3=dataclasses.replace(report.result3, witnesses=valid))
 
 
 def test_report_perfect_model_degenerate_form():

@@ -1,21 +1,17 @@
 """Canonical JSON: the bulk paths against the item-by-item renderer."""
 
+import enum
 import random
 import struct
 from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ensdiag import SweepRow, ValidationError, render_json
-from helpers import render_json_reference
-
-#: Every phase but shrinking: a failure is reported as first found, since
-#: shrinking the recursive payloads and long lists has no time limit and
-#: can stall the run for minutes.
-NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
+from helpers import NO_SHRINK, render_json_reference
 
 #: Floats whose ``%.17g`` text has no fraction, or only an exponent.
 INTEGRAL = [1.0, -1.0, 0.0, -0.0, 2.0**53, -(2.0**53), 1e16, 1e17, 1e22, 5e-324]
@@ -42,8 +38,52 @@ float_rows = st.builds(
     st.one_of(st.none(), non_finite),
     st.integers(0, 300),
 )
-#: Tuple shapes; a list of one shape renders column by column.
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Plain(enum.Enum):
+    HALF = 1.5
+    NAME = "b"
+    SEVEN = 7
+
+
+class _IntEnum(enum.IntEnum):
+    ONE = 1
+    MINUS_TWO = -2
+
+
+class _StrEnum(str, enum.Enum):
+    A = "a"
+    E_ACUTE = "é"
+
+
+#: Scalars that miss the exact-type tests: numpy's, subclasses, Enum members.
+scalar_kinds = st.one_of(
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**31), 2**31 - 1).map(np.int32),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    small_ints.map(_Int),
+    plain_floats.map(_Float),
+    st.text(max_size=8).map(_Str),
+    st.sampled_from([*_Plain, *_IntEnum, *_StrEnum]),
+)
+#: Tuple shapes; a list of one shape renders column by column, or in one
+#: pass when every cell is an exact int.
 tuple_shapes = [
+    st.tuples(st.integers(0, 199), st.integers(0, 199)),  # a witness list
+    st.tuples(st.integers(0, 5), st.one_of(st.integers(0, 5), st.booleans())),
+    st.tuples(st.integers(0, 5), st.integers(0, 5).map(_Int)),
     st.tuples(small_ints, small_ints),
     st.tuples(small_ints, small_ints, small_ints),
     st.tuples(st.integers(0, 5), st.booleans()),
@@ -62,6 +102,7 @@ leaves = st.one_of(
     small_ints.filter(lambda x: abs(x) < 2**63).map(np.int64),
     plain_floats,
     plain_floats.map(np.float64),
+    scalar_kinds,
     st.text(max_size=8),
     float_rows,
     float_rows.map(tuple),
@@ -80,6 +121,7 @@ payloads = st.recursive(
             children,
             max_size=6,
         ),
+        children.map(lambda child: {"first": child, "again": [child, {"third": child}]}),
     ),
     max_leaves=30,
 )
