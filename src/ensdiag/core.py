@@ -54,7 +54,7 @@ SCORE_AGREEMENT_RTOL = 1e-10
 
 
 def _require_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{what} must be finite")
 
 
@@ -149,13 +149,24 @@ class ModelEnsemble:
         return int(self.outputs.shape[1])
 
 
+class _Fresh:
+    """A C-ordered float64 array that ``residuals`` has just made and that
+    no one else holds, which ``ResidualSet`` takes over without a copy."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray) -> None:
+        self.array = array
+
+
 @dataclass(frozen=True, eq=False)
 class ResidualSet:
     """Model-minus-observation vectors and their Gram geometry.
 
     ``n_points``, the residual length and the divisor of every score in
     this package, is read off the residuals.  The residuals are stored
-    C-ordered, so each member's row is contiguous.
+    C-ordered, so each member's row is contiguous: a caller's array is
+    copied, and the fresh array that ``residuals`` makes is taken over.
 
     Construction validates the residuals and forms their geometry once,
     as read-only attributes: ``entries``, the correspondence matrix;
@@ -185,7 +196,13 @@ class ResidualSet:
     _last_score: tuple | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
-        arr = _frozen_float_array(self.residuals, "residuals", order="C")
+        arr = self.residuals
+        if type(arr) is _Fresh:  # made by ``residuals`` and held by no one else: no copy
+            arr = arr.array
+            _require_finite(arr, "residuals")  # the subtraction may overflow
+            arr.setflags(write=False)
+        else:
+            arr = _frozen_float_array(arr, "residuals", order="C")
         if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
             raise ValidationError("residuals must have shape (n_models, n_points)")
         object.__setattr__(self, "residuals", arr)
@@ -227,19 +244,46 @@ class ResidualSet:
         iff ``entries[b, m] >= s_min_sq`` for every ``m``: the gradient
         ``2 * entries[b]`` at the vertex has no descent direction.
         """
-        return bool(np.all(self.entries[self.best] >= self.s_min_sq))
+        return bool((self.entries[self.best] >= self.s_min_sq).all())
 
     @cached_property
-    def witness_pairs(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+    def witness_pairs(self) -> tuple[_PairList, _PairList]:
         """The pairs (i, j), i < j, in row-major order, whose correspondence
         is at most ``s_min_sq``, and those strictly below it: one comparison,
-        with and without ties.  With no tie, both are the same tuple."""
+        with and without ties.  With no tie, both are the same tuple.  Each
+        is a ``_PairList``, a tuple of int pairs that keeps the index arrays
+        of ``np.nonzero``, so a report neither re-checks nor re-reads them."""
         rows, cols = np.nonzero(np.triu(self.entries <= self.s_min_sq, k=1))
-        at_most = tuple(zip(rows.tolist(), cols.tolist()))
+        m = self.n_models
+        at_most = _PairList(rows, cols, m)
         ties = self.entries[rows, cols] == self.s_min_sq
         if not ties.any():
             return at_most, at_most
-        return at_most, tuple(zip(rows[~ties].tolist(), cols[~ties].tolist()))
+        return at_most, _PairList(rows[~ties], cols[~ties], m)
+
+
+class _PairList(tuple):
+    """Index pairs (i, j) with ``0 <= i < j < m``: a tuple of int 2-tuples,
+    which keeps the 1-d index arrays ``rows`` and ``cols`` it was made from
+    and ``m``, so that a report need not walk the pairs to check them, nor
+    a renderer to read them.  The bound is checked once, in numpy, when it
+    is made.  It compares, hashes, pickles and copies as the plain tuple
+    does."""
+
+    def __new__(cls, rows, cols, m: int):
+        rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+        if rows.ndim != 1 or rows.shape != cols.shape:
+            raise ValidationError("pair indices must be two 1-d arrays of one length")
+        if not ((0 <= rows) & (rows < cols) & (cols < m)).all():
+            raise ValidationError(f"not all pairs i < j of {m} models")
+        self = super().__new__(cls, zip(rows.tolist(), cols.tolist()))
+        rows.setflags(write=False)
+        cols.setflags(write=False)
+        self.rows, self.cols, self.m = rows, cols, int(m)
+        return self
+
+    def __reduce__(self):
+        return _PairList, (self.rows, self.cols, self.m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,7 +296,7 @@ class WeightVector:
         arr = _frozen_float_array(self.weights, "weights")
         if arr.ndim != 1 or arr.size == 0:
             raise ValidationError("weights must be a non-empty 1-d sequence")
-        if np.any(arr < 0.0):
+        if (arr < 0.0).any():
             raise ValidationError("weights must be nonnegative")
         total = float(arr.sum())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
@@ -304,12 +348,14 @@ def residuals(ensemble: ModelEnsemble, obs: ObservationSeries) -> ResidualSet:
 
     Raises AlignmentError when the ensemble and the observations do not
     have the same number of points.  A difference that overflows is left
-    infinite, for ResidualSet's finiteness rule to refuse.
+    infinite, for ResidualSet's finiteness rule to refuse.  The difference
+    is formed C-ordered, whatever the layout of the outputs, so the Gram
+    matrix's BLAS product sees one layout, and the set keeps it uncopied.
     """
     _check_aligned(ensemble, obs)
     with np.errstate(over="ignore"):
-        z = ensemble.outputs - obs.values
-    return ResidualSet(z)
+        z = np.subtract(ensemble.outputs, obs.values, order="C")
+    return ResidualSet(_Fresh(z))
 
 
 _BLOCK = 4096  # see _mean_square

@@ -8,17 +8,21 @@ Reports are emitted as canonical JSON: fixed key order, floating-point
 values rendered with 17 significant digits (which round-trips float64
 exactly), matrices as row-major arrays of arrays, and a trailing
 newline.  Two runs on the same input and settings produce byte-identical
-text.  A float row (a score or weight list) takes one ``%.17g`` pass.  A
-symmetric matrix (the correspondences, the cosines) takes one pass over
-its upper triangle, so each value and its mirror image are formatted
-once.  A list of tuples (a witness list) or of records of one dataclass
-type (the sweep's rows) renders column by column when each column holds
-only exact floats, ints or bools, and in one pass when every cell is an
-exact int (a witness list).  A shared object, one that the payload's
-dicts and records hold more than once anywhere in it (a report's Result
-1/2 verdict, or Result 3's witness list when it is Result 1's), is
-rendered once per payload.  All give the bytes of rendering each item on
-its own.
+text.  A float row (a score or weight list) takes one ``%.17g`` pass, and
+a list of strings (the model names) one ``json.dumps`` call.  The values
+that ``build_report`` makes carry the arrays they came from, as private
+tuple subclasses: a symmetric matrix (the correspondences, the cosines)
+is a ``_SymmetricRows``, whose upper triangle is formatted off its array
+in one pass and gathered into its mirror image, and a witness list is a
+``core._PairList``, rendered off its index arrays.  Any other list
+of tuples, a parsed report's matrices and witness lists among them, or
+of records of one dataclass type (the sweep's rows) renders column by
+column when each column holds only exact floats, ints or bools, in one
+pass when every cell is an exact int, and row by row when its tuples
+hold floats (a matrix).  A shared object, one that the payload's dicts
+and records hold more than once anywhere in it (a report's Result 1/2
+verdict, or Result 3's witness list when it is Result 1's), is rendered
+once per payload.  All give the bytes of rendering each item on its own.
 
 The record dataclasses are the report's one schema.  A record renders as
 its fields in declaration order and an Enum as its value; ``parse_report``
@@ -36,7 +40,7 @@ import math
 import re
 from dataclasses import dataclass, is_dataclass
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import chain
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
@@ -46,6 +50,7 @@ from .core import (
     ModelEnsemble,
     ObservationSeries,
     WeightVector,
+    _PairList,
     cosine_matrix,
     correspondence_matrix,  # unused here; perfbench/worker.py traces it by name
     ensemble_score,
@@ -127,8 +132,10 @@ class DiagnosticsReport:
         """Refuse what ``build_report`` cannot produce, so that a parsed
         report obeys the same rules: an interval of ``n_points`` times, one
         entry per model, M×M matrices, indices and witness pairs ``i < j``
-        in range (each distinct witness tuple checked once), one best member
-        in every verdict, the best member's name, and simplex weights."""
+        in range (each distinct witness tuple checked once, and a
+        ``_PairList`` made for M models not at all: it was checked when it
+        was made), one best member in every verdict, the best member's
+        name, and simplex weights."""
         if self.interval_end - self.interval_start + 1 != self.n_points:
             raise _malformed("report.interval", f"not {self.n_points} consecutive times")
         m = len(self.model_names)
@@ -148,10 +155,12 @@ class DiagnosticsReport:
             verdict = getattr(self, name)
             if verdict is None:
                 continue
-            if id(verdict.witnesses) not in walked:
-                if not all(0 <= i < j < m for i, j in verdict.witnesses):
+            pairs = verdict.witnesses
+            if id(pairs) not in walked:
+                checked = type(pairs) is _PairList and pairs.m == m  # when it was made
+                if not checked and not all(0 <= i < j < m for i, j in pairs):
                     raise _malformed(f"report.{name}.witnesses", f"not all pairs i < j of {m} models")
-                walked.add(id(verdict.witnesses))
+                walked.add(id(pairs))
             if verdict.best_model_index != self.best_index:
                 raise _malformed(f"report.{name}.best_model_index", "not best.index")
         if self.best_name != self.model_names[self.best_index]:
@@ -160,10 +169,6 @@ class DiagnosticsReport:
             WeightVector(self.weights_used)
         except ValidationError as exc:
             raise _malformed("report.weights_used", str(exc)) from None
-
-
-def _matrix_rows(matrix: np.ndarray) -> tuple[tuple[float, ...], ...]:
-    return tuple(map(tuple, matrix.tolist()))
 
 
 def build_report(
@@ -187,6 +192,11 @@ def build_report(
     1's witness list when no correspondence ties ``S_min^2``
     (``ResidualSet.witness_pairs``).  The regime tolerances are checked
     even where no regime is classified.
+
+    The matrices are ``_SymmetricRows`` of the set's arrays and the
+    witness lists ``_PairList``s: tuples that keep the arrays they came
+    from, so that the report's checks and its render read those arrays
+    instead of every cell.
     """
     _check_tolerances(tol_equal, tol_cos)
     rs = residuals(ens, obs)
@@ -200,8 +210,8 @@ def build_report(
         model_names=ens.model_names,
         weights_used=tuple(weights.weights.tolist()),
         per_model_scores=tuple(rs.scores.tolist()),
-        correspondence=_matrix_rows(rs.entries),
-        cosines=None if rs.perfect else _matrix_rows(cosine_matrix(rs)),
+        correspondence=_SymmetricRows(rs.entries),
+        cosines=None if rs.perfect else _SymmetricRows(cosine_matrix(rs)),
         perfect_models=rs.perfect,
         ensemble_score=ensemble_score(rs, weights),
         best_index=rs.best,
@@ -250,37 +260,96 @@ def _render_key(key: str) -> str:
     return json.dumps(key) + ":"
 
 
-def _render_matrix(rows) -> str | None:
-    """A symmetric matrix of exact floats, each value and its mirror image
-    formatted once, in one pass over the upper triangle; else None.  A zero
-    is left to the per-row pass: ``0.0 == -0.0``, so its mirror image may
-    have the other sign."""
-    m = len(rows)
-    if set(map(len, rows)) != {m} or tuple(rows) != tuple(zip(*rows)):
-        return None
-    if set(map(type, chain.from_iterable(rows))) != {float}:
-        return None
-    upper = list(chain.from_iterable([row[i:] for i, row in enumerate(rows)]))
-    if 0.0 in upper:
-        return None
-    texts = iter(_render_floats(upper)[1:-1].split(","))
-    grid = [[""] * i + list(islice(texts, m - i)) for i in range(m)]
-    for i, column in enumerate(list(zip(*grid))):  # row i up to the diagonal is column i
-        grid[i][:i] = column[:i]
-    return "[" + ",".join(["[" + ",".join(row) + "]" for row in grid]) + "]"
+class _SymmetricRows(tuple):
+    """The rows of a square float64 array that equals its transpose bit
+    for bit (signed zeros included): a tuple of float tuples, which keeps
+    a read-only copy of the array as ``array``, so that the renderer can
+    read the upper triangle off it instead of checking every cell.  Made
+    from any other array, it is the plain tuple of the array's rows.  It
+    compares, hashes, pickles and copies as the plain tuple does."""
+
+    def __new__(cls, array):
+        arr = np.array(array)  # its own copy, which no caller can change
+        rows = tuple(map(tuple, arr.tolist()))
+        square = arr.ndim == 2 and arr.shape[0] == arr.shape[1]
+        if not (square and arr.dtype == np.float64):
+            return rows
+        if not np.array_equal(arr.view(np.int64), arr.T.view(np.int64)):
+            return rows
+        arr.setflags(write=False)
+        self = super().__new__(cls, rows)
+        self.array = arr
+        return self
+
+    def __reduce__(self):
+        return _SymmetricRows, (self.array,)
+
+
+#: The text of an integral cell that ``%.17g`` leaves without a fraction.
+_INTEGRAL_TEXT = re.compile(r"-?\d+")
+
+
+@lru_cache(maxsize=8)
+def _triangle(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat row-major indices of the upper triangle of an m×m matrix,
+    diagonal included, and for each cell (i, j), in row-major order, the
+    position of (min(i, j), max(i, j)) among them."""
+    upper = np.triu(np.ones((m, m), dtype=bool))
+    position = np.zeros((m, m), dtype=np.intp)
+    position[upper] = np.arange(np.count_nonzero(upper))
+    return np.flatnonzero(upper), (position + np.triu(position, 1).T).ravel()
+
+
+def _render_symmetric(matrix: _SymmetricRows) -> str:
+    """A symmetric float matrix off its array: each value of the upper
+    triangle formatted once, by ``_render_floats``' rules, and gathered
+    into its mirror image."""
+    m = len(matrix)
+    upper, mirror = _triangle(m)
+    values = matrix.array.take(upper)
+    if not np.isfinite(values).all():
+        raise ValidationError(_NON_FINITE)
+    texts = ("%.17g," * values.size % tuple(values.tolist())).split(",")
+    for k in np.flatnonzero(values == np.trunc(values)).tolist():
+        if _INTEGRAL_TEXT.fullmatch(texts[k]):  # "1" or "-0": no fraction
+            texts[k] += ".0"
+    grid = np.array(texts, dtype=object)[mirror].reshape(m, m).tolist()
+    return "[[" + "],[".join([",".join(row) for row in grid]) + "]]"
+
+
+@lru_cache(maxsize=8)
+def _pair_texts(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``"[i,"`` and ``"j],"`` for every index of m models."""
+    heads = np.array([f"[{i}," for i in range(m)], dtype=object)
+    tails = np.array([f"{j}]," for j in range(m)], dtype=object)
+    return heads, tails
+
+
+def _render_pairs(pairs: _PairList) -> str:
+    """Index pairs off their arrays, with no pass over the pairs."""
+    heads, tails = _pair_texts(pairs.m)
+    texts = np.empty(2 * len(pairs), dtype=object)
+    texts[0::2] = heads[pairs.rows]
+    texts[1::2] = tails[pairs.cols]
+    return "[" + "".join(texts.tolist())[:-1] + "]"
 
 
 def _render_table(values) -> str | None:
-    """Equal-length tuples, or records of one dataclass type, column by
-    column when each column is all exact floats, ints or bools; else None.
-    Tuples whose cells are all exact ints take one pass, with no work per
-    column (``"%s"`` gives ``str(int)``), and a matrix (first row all
-    floats) goes to ``_render_matrix``."""
+    """A symmetric matrix or a pair list off the arrays it keeps; else
+    equal-length tuples, or records of one dataclass type, column by column
+    when each column is all exact floats, ints or bools, or None.  Tuples
+    whose cells are all exact ints take one pass, with no work per column
+    (``"%s"`` gives ``str(int)``), and tuples of floats (a matrix) are
+    left to render row by row."""
+    if type(values) is _SymmetricRows:
+        return _render_symmetric(values)
+    if type(values) is _PairList:
+        return _render_pairs(values)
     kind = type(values[0]) if values else None
     if set(map(type, values)) != {kind}:
         return None
     if kind is tuple and set(map(type, values[0])) == {float}:
-        return _render_matrix(values)
+        return None
     if kind is tuple:
         rows, template = values, "[" + ",".join(["%s"] * len(values[0])) + "]"
     elif is_dataclass(kind):
@@ -314,7 +383,8 @@ def _render(value, texts: dict) -> str:
     twice is rendered once; the payload keeps each of them alive, so no
     id is reused during the render.  Exact floats, ints, strs and bools
     are tested before the ``isinstance`` chain that their subclasses and
-    numpy's scalars take."""
+    numpy's scalars take.  Only an exact list or tuple has its items'
+    types read here; ``_render_table`` takes the typed tuples."""
     kind = type(value)
     if kind is float:
         return _render_floats((value,))[1:-1]
@@ -335,8 +405,12 @@ def _render(value, texts: dict) -> str:
     if isinstance(value, str):
         return json.dumps(value, ensure_ascii=False)
     if isinstance(value, (list, tuple)):
-        if set(map(type, value)) == {float}:
-            return _render_floats(value)
+        if kind is list or kind is tuple:
+            kinds = set(map(type, value))
+            if kinds == {float}:
+                return _render_floats(value)
+            if kinds == {str}:
+                return json.dumps(value, ensure_ascii=False, separators=(",", ":"))
         return _render_table(value) or "[" + ",".join([_render(item, texts) for item in value]) + "]"
     if is_dataclass(value):  # a record: its fields, in declaration order
         value = vars(value)

@@ -119,7 +119,7 @@ def _face_minimizer(block: np.ndarray) -> np.ndarray:
     rhs[n] = 1.0
     try:
         solution = np.linalg.solve(kkt, rhs)
-        if np.all(np.isfinite(solution)):
+        if np.isfinite(solution).all():
             return solution[:n]
     except np.linalg.LinAlgError:
         pass
@@ -146,8 +146,8 @@ def _active_set(gram: np.ndarray, floor: float, max_iter: int, tol: float):
     while iterations < max_iter:
         iterations += 1
         idx = np.flatnonzero(support)
-        v = _face_minimizer(gram[np.ix_(idx, idx)])
-        if np.all(v > 0.0):
+        v = _face_minimizer(gram[idx][:, idx])
+        if (v > 0.0).all():
             w[idx] = v
             g = 2.0 * (gram @ w)
             value = 0.5 * float(g @ w)
@@ -200,19 +200,22 @@ def optimal_weights(
     gram = rs.entries / scale
     floor = m * float(np.finfo(np.float64).eps) * float(np.abs(gram).max())
 
-    if rs.best_vertex_is_optimal():
-        w, iterations, score = _indicator(m, rs.best), 0, rs.s_min_sq
-    else:
+    weights, iterations = None, 0
+    if not rs.best_vertex_is_optimal():
         w, iterations = _active_set(gram, floor, int(max_iter), tol)
         w /= w.sum()
-        score = ensemble_score(rs, WeightVector(w))
+        weights = WeightVector(w)
+        score = ensemble_score(rs, weights)
         if rs.s_min_sq < score:
-            w, score = _indicator(m, rs.best), rs.s_min_sq
+            weights = None
+    if weights is None:  # the best vertex
+        weights, score = WeightVector(_indicator(m, rs.best)), rs.s_min_sq
 
+    w = weights.weights
     g = 2.0 * (gram @ w)
     gap = max(float(g @ w - g.min()), 0.0)
     return OptimizationOutcome(
-        weights=WeightVector(w),
+        weights=weights,
         score=score,
         iterations=iterations,
         converged=gap <= tol * score / scale + floor,

@@ -1,0 +1,303 @@
+"""The report's typed values: symmetric matrices and pair lists that keep
+the arrays they came from, against plain tuples and the item-by-item
+renderer; and the residual array that ``residuals`` hands over uncopied."""
+
+import copy
+import dataclasses
+import pickle
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ensdiag import (
+    ModelEnsemble,
+    ObservationSeries,
+    ResidualSet,
+    ValidationError,
+    build_report,
+    emit_report,
+    optimal_weights,
+    parse_report,
+    render_json,
+    residuals,
+    uniform_weights,
+)
+from ensdiag.core import _PairList
+from ensdiag.report import _SymmetricRows
+from helpers import NO_SHRINK, render_json_reference
+
+
+def _outcome(render, payload):
+    try:
+        return render(payload)
+    except (ValidationError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def _reference(payload):
+    return render_json_reference(payload) + "\n"
+
+
+def _plain(rows):
+    return tuple(map(tuple, rows))
+
+
+# ---------------------------------------------------------------------------
+# symmetric matrices
+# ---------------------------------------------------------------------------
+
+#: Cells whose ``%.17g`` text lacks a fraction (1.0, -0.0, 2^53, 1e16), or
+#: has none and an exponent (1e17), subnormals, both zeros, and values
+#: that are not finite.
+SPECIAL = [1.0, -1.0, 0.0, -0.0, 2.0**53, -(2.0**53), 1e16, 1e17, 5e-324, -2.5e-320,
+           2.2250738585072014e-308]
+NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+
+cell_values = st.one_of(
+    st.sampled_from(SPECIAL),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**60), 2**60).map(float),
+)
+
+
+@st.composite
+def symmetric_arrays(draw):
+    """Bitwise symmetric float64 arrays of 1 to 40 rows, from a small pool
+    of cells so that they repeat; sometimes with one non-finite cell,
+    mirrored."""
+    m = draw(st.integers(1, 40))
+    pool = draw(st.lists(cell_values, min_size=1, max_size=6))
+    picks = random.Random(draw(st.integers(0, 2**32)))
+    arr = np.array([[picks.choice(pool) for _ in range(m)] for _ in range(m)])
+    upper = np.triu(np.ones((m, m), dtype=bool))
+    arr = np.where(upper, arr, arr.T)  # the upper triangle, mirrored bit for bit
+    if draw(st.booleans()):
+        np.fill_diagonal(arr, 1.0)  # a cosine matrix's diagonal
+    if draw(st.integers(0, 5)) == 0:
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        arr[i, j] = arr[j, i] = draw(st.sampled_from(NON_FINITE))
+    return arr
+
+
+@settings(max_examples=300, deadline=None, phases=NO_SHRINK)
+@given(symmetric_arrays())
+def test_typed_symmetric_render_is_that_of_the_plain_rows(arr):
+    typed = _SymmetricRows(arr)
+    assert type(typed) is _SymmetricRows
+    assert np.array(typed).tobytes() == arr.tobytes()  # bit for bit: nan is no tuple's equal
+    expected = _outcome(_reference, {"m": _plain(arr.tolist())})
+    assert _outcome(render_json, {"m": typed}) == expected
+
+
+@pytest.mark.parametrize("m", [4, 5, 40])
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_non_finite_typed_cell_raises_the_plain_error(m, bad):
+    arr = np.full((m, m), 0.25)
+    arr[1, 3] = arr[3, 1] = bad
+    with pytest.raises(ValidationError, match="must not contain NaN or infinite") as typed:
+        render_json({"m": _SymmetricRows(arr)})
+    with pytest.raises(ValidationError) as plain:
+        render_json_reference({"m": _plain(arr.tolist())})
+    assert str(typed.value) == str(plain.value)
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [
+        np.array([[1.0, 0.0], [-0.0, 1.0]]),  # equal zeros of both signs, mirrored
+        np.array([[1.0, 0.25], [0.5, 1.0]]),
+        np.array([[1.0, 0.5, 0.25], [0.5, 1.0, 0.75]]),  # not square
+        np.array([[1, 2], [2, 1]]),  # ints
+        np.array([[1.0, 2.0], [2.0, 1.0]], dtype=np.float32),
+    ],
+)
+def test_an_array_that_is_not_symmetric_float64_gives_plain_rows(arr):
+    rows = _SymmetricRows(arr)
+    assert type(rows) is tuple and rows == _plain(arr.tolist())
+    assert render_json({"m": rows}) == _reference({"m": rows})
+
+
+def test_the_kept_array_is_a_read_only_copy():
+    arr = np.array([[1.0, 0.5], [0.5, 2.0]])
+    rows = _SymmetricRows(arr)
+    arr[0, 1] = arr[1, 0] = 9.0
+    assert rows == ((1.0, 0.5), (0.5, 2.0)) and rows.array[0, 1] == 0.5
+    assert not rows.array.flags.writeable and arr.flags.writeable
+    rs = ResidualSet([[1.0, 2.0], [3.0, -1.0]])
+    kept = _SymmetricRows(rs.entries).array
+    assert kept is not rs.entries and kept.tobytes() == rs.entries.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# pair lists
+# ---------------------------------------------------------------------------
+
+
+def _pairs(m, n, seed):
+    """``n`` pairs i < j of ``m`` models, in row-major order."""
+    rows, cols = np.triu_indices(m, 1)
+    keep = np.sort(np.random.default_rng(seed).choice(rows.size, n, replace=False))
+    return _PairList(rows[keep], cols[keep], m)
+
+
+@pytest.mark.parametrize(
+    "m, n",
+    [
+        (2, 0),
+        (2, 1),
+        (3, 3),
+        (40, 7),
+        (40, 30),
+        (200, 19_894),
+    ],
+)
+def test_typed_pair_list_renders_as_its_pairs(m, n):
+    pairs = _pairs(m, n, seed=m + n)
+    assert len(pairs) == n and all(type(i) is int and 0 <= i < j < m for i, j in pairs)
+    assert render_json({"w": pairs}) == _reference({"w": tuple(pairs)})
+
+
+@pytest.mark.parametrize(
+    "rows, cols, m",
+    [([0], [0], 3), ([1], [0], 3), ([0], [3], 3), ([-1], [1], 3), ([0, 1], [2], 3)],
+)
+def test_a_pair_list_refuses_pairs_out_of_order_or_range(rows, cols, m):
+    with pytest.raises(ValidationError):
+        _PairList(rows, cols, m)
+
+
+# ---------------------------------------------------------------------------
+# the typed values are tuples
+# ---------------------------------------------------------------------------
+
+
+def test_typed_values_compare_and_hash_like_plain_tuples():
+    arr = np.array([[2.0, -0.5, 0.0], [-0.5, 1.0, 0.25], [0.0, 0.25, 3.0]])
+    rows, plain_rows = _SymmetricRows(arr), _plain(arr.tolist())
+    pairs, plain_pairs = _PairList([0, 0, 1], [1, 2, 2], 3), ((0, 1), (0, 2), (1, 2))
+    for typed, plain in [(rows, plain_rows), (pairs, plain_pairs)]:
+        assert isinstance(typed, tuple)
+        assert typed == plain and plain == typed and not typed != plain
+        assert hash(typed) == hash(plain)
+        assert {typed: 1}[plain] == 1
+        assert tuple(typed) == plain and len(typed) == len(plain)
+    assert _PairList([], [], 4) == () and hash(_PairList([], [], 4)) == hash(())
+
+
+def _wide_report(seed=811, m=30):
+    rng = np.random.default_rng(seed)
+    truth = rng.standard_normal(400)
+    outputs = truth + rng.standard_normal((m, 400)) * rng.uniform(0.5, 2.0, (m, 1))
+    obs = ObservationSeries(np.arange(400), truth)
+    ens = ModelEnsemble(tuple(f"m{i}" for i in range(m)), outputs)
+    return build_report(obs, ens, uniform_weights(m))
+
+
+def test_a_report_holds_typed_values():
+    built = _wide_report()
+    assert type(built.correspondence) is _SymmetricRows
+    assert type(built.cosines) is _SymmetricRows
+    assert type(built.result1.witnesses) is _PairList and built.result1.witnesses
+    assert built.result1.witnesses.m == len(built.model_names)
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [
+        lambda r: pickle.loads(pickle.dumps(r)),
+        copy.deepcopy,
+        copy.copy,
+        lambda r: dataclasses.replace(r),
+        lambda r: dataclasses.replace(r, best_name=r.best_name),
+        lambda r: parse_report(emit_report(r)),
+    ],
+    ids=["pickle", "deepcopy", "copy", "replace", "replace-field", "parse"],
+)
+def test_a_duplicated_report_is_equal_and_renders_the_same_bytes(duplicate):
+    built = _wide_report()
+    again = duplicate(built)
+    assert again == built
+    assert hash(again.correspondence) == hash(built.correspondence)
+    assert emit_report(again) == emit_report(built)
+
+
+def test_pickle_and_deepcopy_keep_the_typed_values_and_their_sharing():
+    built = _wide_report()
+    for again in (pickle.loads(pickle.dumps(built)), copy.deepcopy(built)):
+        assert type(again.correspondence) is _SymmetricRows
+        assert type(again.result1.witnesses) is _PairList
+        assert again.result2 is again.result1
+        assert (again.result3.witnesses is again.result1.witnesses) == (
+            built.result3.witnesses is built.result1.witnesses
+        )
+
+
+# ---------------------------------------------------------------------------
+# the report's refusals
+# ---------------------------------------------------------------------------
+
+
+def _with_witnesses(built, witnesses):
+    verdict = dataclasses.replace(built.result1, witnesses=witnesses)
+    return dataclasses.replace(built, result1=verdict, result2=verdict)
+
+
+def test_a_report_refuses_a_plain_pair_out_of_range():
+    built = _wide_report(m=4)
+    with pytest.raises(ValidationError, match=r"report\.result1\.witnesses"):
+        _with_witnesses(built, ((0, 1), (2, 4)))
+    with pytest.raises(ValidationError, match=r"report\.result1\.witnesses"):
+        _with_witnesses(built, ((1, 1),))
+    assert _with_witnesses(built, ((0, 1), (2, 3))).result1.witnesses == ((0, 1), (2, 3))
+
+
+def test_a_report_walks_a_pair_list_made_for_another_m():
+    built = _wide_report(m=4)
+    with pytest.raises(ValidationError, match=r"report\.result1\.witnesses"):
+        _with_witnesses(built, _PairList([0, 2], [1, 4], 5))
+    within = _with_witnesses(built, _PairList([0], [3], 5))  # in range: the walk passes it
+    assert within.result1.witnesses == ((0, 3),)
+
+
+# ---------------------------------------------------------------------------
+# the residual array handed over uncopied
+# ---------------------------------------------------------------------------
+
+
+def test_f_and_c_ordered_outputs_give_the_same_bits():
+    rng = np.random.default_rng(827)
+    obs = ObservationSeries(np.arange(3000), rng.standard_normal(3000))
+    outputs = obs.values + rng.standard_normal((24, 3000)) * rng.uniform(0.2, 3.0, (24, 1))
+    names = tuple(f"m{i}" for i in range(24))
+    sets = []
+    for layout in (np.ascontiguousarray(outputs), np.asfortranarray(outputs), outputs.T.copy().T):
+        ens = ModelEnsemble(names, layout)
+        sets.append(residuals(ens, obs))
+    c_set = sets[0]
+    assert np.asfortranarray(outputs).flags.f_contiguous
+    for rs in sets:
+        assert rs.residuals.flags.c_contiguous and not rs.residuals.flags.writeable
+        assert rs.entries.tobytes() == c_set.entries.tobytes()
+        assert rs.cosines.tobytes() == c_set.cosines.tobytes()
+        fit, c_fit = optimal_weights(rs), optimal_weights(c_set)
+        assert fit.weights.weights.tobytes() == c_fit.weights.weights.tobytes()
+        assert (fit.score, fit.kkt_gap) == (c_fit.score, c_fit.kkt_gap)
+
+
+def test_a_callers_array_is_copied():
+    z = np.array([[1.0, 2.0, -1.0], [0.5, -0.5, 3.0]])
+    rs = ResidualSet(z)
+    before = (rs.residuals.copy(), rs.entries.copy())
+    z[:] = 7.0
+    assert np.array_equal(rs.residuals, before[0]) and np.array_equal(rs.entries, before[1])
+    assert z.flags.writeable and rs.residuals is not z
+
+
+def test_an_overflowing_subtraction_is_still_refused():
+    obs = ObservationSeries([0, 1], [-1e308, 0.0])
+    ens = ModelEnsemble(("a", "b"), [[1e308, 1.0], [0.0, 1.0]])
+    with pytest.raises(ValidationError, match="residuals must be finite"):
+        residuals(ens, obs)
