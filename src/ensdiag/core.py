@@ -17,7 +17,7 @@ that takes the set reads that one geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -150,8 +150,9 @@ class ModelEnsemble:
 
 
 class _Fresh:
-    """A C-ordered float64 array that ``residuals`` has just made and that
-    no one else holds, which ``ResidualSet`` takes over without a copy."""
+    """A C-ordered float64 array that ``residuals`` or ``model_score`` has
+    just made and that no one else holds, which ``ResidualSet`` takes over
+    without a copy."""
 
     __slots__ = ("array",)
 
@@ -166,7 +167,8 @@ class ResidualSet:
     ``n_points``, the residual length and the divisor of every score in
     this package, is read off the residuals.  The residuals are stored
     C-ordered, so each member's row is contiguous: a caller's array is
-    copied, and the fresh array that ``residuals`` makes is taken over.
+    copied, and the fresh array that ``residuals`` or ``model_score`` makes
+    is taken over.
 
     Construction validates the residuals and forms their geometry once,
     as read-only attributes: ``entries``, the correspondence matrix;
@@ -197,7 +199,7 @@ class ResidualSet:
 
     def __post_init__(self) -> None:
         arr = self.residuals
-        if type(arr) is _Fresh:  # made by ``residuals`` and held by no one else: no copy
+        if type(arr) is _Fresh:  # made in this module, held by no one else: no copy
             arr = arr.array
             _require_finite(arr, "residuals")  # the subtraction may overflow
             arr.setflags(write=False)
@@ -249,17 +251,31 @@ class ResidualSet:
     @cached_property
     def witness_pairs(self) -> tuple[_PairList, _PairList]:
         """The pairs (i, j), i < j, in row-major order, whose correspondence
-        is at most ``s_min_sq``, and those strictly below it: one comparison,
-        with and without ties.  With no tie, both are the same tuple.  Each
-        is a ``_PairList``, a tuple of int pairs that keeps the index arrays
-        of ``np.nonzero``, so a report neither re-checks nor re-reads them."""
-        rows, cols = np.nonzero(np.triu(self.entries <= self.s_min_sq, k=1))
+        is at most ``s_min_sq``, and those strictly below it: one comparison
+        of the correspondences gathered over ``_pairs``, with and without
+        ties.  With no tie, both are the same tuple.  Each is a
+        ``_PairList``, a tuple of int pairs that keeps its index arrays, so
+        a report neither re-checks nor re-reads them."""
         m = self.n_models
-        at_most = _PairList(rows, cols, m)
-        ties = self.entries[rows, cols] == self.s_min_sq
+        rows, cols = _pairs(m)
+        values = self.entries[rows, cols]
+        at_most = values <= self.s_min_sq
+        pairs = _PairList(rows[at_most], cols[at_most], m)
+        ties = values[at_most] == self.s_min_sq
         if not ties.any():
-            return at_most, at_most
-        return at_most, _PairList(rows[~ties], cols[~ties], m)
+            return pairs, pairs
+        return pairs, _PairList(pairs.rows[~ties], pairs.cols[~ties], m)
+
+
+@lru_cache(maxsize=8)
+def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only ``(rows, cols)`` of the pairs i < j of m members, in
+    row-major order: the one pair index of every test over the pairs."""
+    index = np.arange(m)
+    rows, cols = np.nonzero(index[:, None] < index)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
 
 
 class _PairList(tuple):
@@ -380,7 +396,7 @@ def model_score(z) -> float:
     arr = _frozen_float_array(z, "residual vector", order="C")
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError("residual vector must be non-empty and 1-d")
-    return ResidualSet(arr[None, :]).s_min_sq
+    return ResidualSet(_Fresh(arr[None, :])).s_min_sq
 
 
 def model_scores(rs: ResidualSet) -> np.ndarray:

@@ -8,10 +8,12 @@ Each verdict records its hypothesis and conclusion separately; the
 implications between them are verified by the test suite, never assumed.
 
 Every check reads the Gram geometry that the ``ResidualSet`` formed when
-it was constructed, so the checks of one set share it.  The witness pairs
+it was constructed, so the checks of one set share it.  Every test over
+the pairs m < m' reads one pair index, ``core._pairs``: the witness pairs
 of Results 1 and 3 come from one comparison of the correspondences over
-the upper triangle, in row-major order, with and without ties, which the
-set makes once (``ResidualSet.witness_pairs``).
+it, in row-major order, with and without ties, which the set makes once
+(``ResidualSet.witness_pairs``), and the tightness of the upper bound and
+the regimes' cosine tests gather their pairs through it.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .core import (
     WeightVector,
     _check_weight_length,
     _correspondence_entries,  # unused here; perfbench/worker.py traces it by name
+    _pairs,
     cosine_matrix,
     ensemble_score,
     model_scores,  # unused here; perfbench/worker.py traces it by name
@@ -182,8 +185,9 @@ def schwartz_bounds(rs: ResidualSet, w: WeightVector) -> ScoreBounds:
             f"internal inconsistency: ensemble score {actual!r} exceeds its "
             f"upper bound {upper!r}"
         )
-    floor = (1.0 - TIGHT_COSINE_TOL) * np.outer(rs.norms, rs.norms)
-    upper_tight = not np.triu(rs.entries < floor, k=1).any()
+    rows, cols = _pairs(rs.n_models)
+    floor = (1.0 - TIGHT_COSINE_TOL) * (rs.norms[rows] * rs.norms[cols])
+    upper_tight = not (rs.entries[rows, cols] < floor).any()
     return ScoreBounds(lower=0.0, upper=upper, actual=actual, upper_tight=upper_tight)
 
 
@@ -203,19 +207,19 @@ def classify_regime(
     """
     _require_two_models(rs)
     _check_tolerances(tol_equal, tol_cos)
-    cosines = cosine_matrix(rs)
     scores, best, s_min_sq = rs.scores, rs.best, rs.s_min_sq
-    pairs = np.triu(np.ones(cosines.shape, dtype=bool), k=1)
+    rows, cols = _pairs(rs.n_models)
+    cosines = cosine_matrix(rs)[rows, cols]
 
     equally_good = float(scores.max()) / s_min_sq - 1.0 <= tol_equal
-    low_corr = bool(np.all(cosines[pairs] <= tol_cos))
+    low_corr = bool(np.all(cosines <= tol_cos))
     if equally_good and low_corr:
         return Regime.EQUALLY_GOOD_LOW_CORRESPONDENCE
 
     others = np.delete(scores, best)
     dominant = s_min_sq <= tol_equal * float(others.min())
-    pairs[best, :] = pairs[:, best] = False
-    non_best_positive = bool(np.all(cosines[pairs] > 0.0))
+    non_best = (rows != best) & (cols != best)
+    non_best_positive = bool(np.all(cosines[non_best] > 0.0))
     if dominant and non_best_positive:
         return Regime.DOMINANT_BEST_POSITIVE_CORRESPONDENCE
     return Regime.NEITHER

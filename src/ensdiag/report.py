@@ -8,21 +8,20 @@ Reports are emitted as canonical JSON: fixed key order, floating-point
 values rendered with 17 significant digits (which round-trips float64
 exactly), matrices as row-major arrays of arrays, and a trailing
 newline.  Two runs on the same input and settings produce byte-identical
-text.  A float row (a score or weight list) takes one ``%.17g`` pass, and
-a list of strings (the model names) one ``json.dumps`` call.  The values
-that ``build_report`` makes carry the arrays they came from, as private
-tuple subclasses: a symmetric matrix (the correspondences, the cosines)
-is a ``_SymmetricRows``, whose upper triangle is formatted off its array
-in one pass and gathered into its mirror image, and a witness list is a
-``core._PairList``, rendered off its index arrays.  Any other list
-of tuples, a parsed report's matrices and witness lists among them, or
-of records of one dataclass type (the sweep's rows) renders column by
-column when each column holds only exact floats, ints or bools, in one
-pass when every cell is an exact int, and row by row when its tuples
-hold floats (a matrix).  A shared object, one that the payload's dicts
-and records hold more than once anywhere in it (a report's Result 1/2
-verdict, or Result 3's witness list when it is Result 1's), is rendered
-once per payload.  All give the bytes of rendering each item on its own.
+text.  Four rules render faster than item by item, to the same bytes.  A
+float row (a score or weight list) takes one ``%.17g`` pass.  The two
+typed values that ``build_report`` makes keep the arrays they came from:
+a symmetric matrix (the correspondences, the cosines), a
+``_SymmetricRows``, has its upper triangle formatted in one pass and
+gathered into its mirror image, and a witness list, a ``core._PairList``,
+renders off the index arrays it took from the pair index
+``core._pairs``.  A list of records of one dataclass type (the sweep's
+rows) renders column by column when each column holds only exact floats,
+ints or bools.  A shared object, one that the payload's dicts and
+records hold more than once (a report's Result 1/2 verdict, or Result
+3's witness list when it is Result 1's), is rendered once per payload.
+Everything else, a parsed report's matrices and witness lists among it,
+renders item by item.
 
 The record dataclasses are the report's one schema.  A record renders as
 its fields in declaration order and an Enum as its value; ``parse_report``
@@ -132,10 +131,10 @@ class DiagnosticsReport:
         """Refuse what ``build_report`` cannot produce, so that a parsed
         report obeys the same rules: an interval of ``n_points`` times, one
         entry per model, M×M matrices, indices and witness pairs ``i < j``
-        in range (each distinct witness tuple checked once, and a
-        ``_PairList`` made for M models not at all: it was checked when it
-        was made), one best member in every verdict, the best member's
-        name, and simplex weights."""
+        in range (a ``_PairList`` made for M models is not walked: it was
+        checked when it was made, off the pair index ``core._pairs``), one
+        best member in every verdict, the best member's name, and simplex
+        weights."""
         if self.interval_end - self.interval_start + 1 != self.n_points:
             raise _malformed("report.interval", f"not {self.n_points} consecutive times")
         m = len(self.model_names)
@@ -150,17 +149,14 @@ class DiagnosticsReport:
             raise _malformed("report.best_index", f"{self.best_index} is not one of {m} models")
         if not all(0 <= i < m for i in self.perfect_models):
             raise _malformed("report.perfect_models", f"not all of {m} models")
-        walked = set()  # ids of valid witness tuples: one that verdicts share is walked once
         for name in ("result1", "result2", "result3"):
             verdict = getattr(self, name)
             if verdict is None:
                 continue
             pairs = verdict.witnesses
-            if id(pairs) not in walked:
-                checked = type(pairs) is _PairList and pairs.m == m  # when it was made
-                if not checked and not all(0 <= i < j < m for i, j in pairs):
-                    raise _malformed(f"report.{name}.witnesses", f"not all pairs i < j of {m} models")
-                walked.add(id(pairs))
+            checked = type(pairs) is _PairList and pairs.m == m  # when it was made
+            if not checked and not all(0 <= i < j < m for i, j in pairs):
+                raise _malformed(f"report.{name}.witnesses", f"not all pairs i < j of {m} models")
             if verdict.best_model_index != self.best_index:
                 raise _malformed(f"report.{name}.best_model_index", "not best.index")
         if self.best_name != self.model_names[self.best_index]:
@@ -335,35 +331,22 @@ def _render_pairs(pairs: _PairList) -> str:
 
 
 def _render_table(values) -> str | None:
-    """A symmetric matrix or a pair list off the arrays it keeps; else
-    equal-length tuples, or records of one dataclass type, column by column
-    when each column is all exact floats, ints or bools, or None.  Tuples
-    whose cells are all exact ints take one pass, with no work per column
-    (``"%s"`` gives ``str(int)``), and tuples of floats (a matrix) are
-    left to render row by row."""
+    """A symmetric matrix or a pair list off the arrays it keeps (a witness
+    list's pairs read ``core._pairs``); else records of one dataclass type,
+    column by column when each column is all exact floats, ints or bools;
+    else None, for the caller to render item by item."""
     if type(values) is _SymmetricRows:
         return _render_symmetric(values)
     if type(values) is _PairList:
         return _render_pairs(values)
     kind = type(values[0]) if values else None
-    if set(map(type, values)) != {kind}:
+    if not is_dataclass(kind) or set(map(type, values)) != {kind}:
         return None
-    if kind is tuple and set(map(type, values[0])) == {float}:
-        return None
-    if kind is tuple:
-        rows, template = values, "[" + ",".join(["%s"] * len(values[0])) + "]"
-    elif is_dataclass(kind):
-        rows = [vars(value).values() for value in values]
-        keys = [_render_key(name).replace("%", "%%") for name in vars(values[0])]
-        template = "{" + ",".join([key + "%s" for key in keys]) + "}"
-    else:
-        return None
+    rows = [vars(value).values() for value in values]
     width = len(rows[0])
     if set(map(len, rows)) != {width}:
         return None
     cells = list(chain.from_iterable(rows))  # row-major: column j is cells[j::width]
-    if kind is tuple and set(map(type, cells)) == {int}:  # a witness list: one pass
-        return "[" + ",".join([template] * len(values)) % tuple(cells) + "]"
     columns = [cells[j::width] for j in range(width)]
     kinds = [set(map(type, column)) for column in columns]
     if not all(types in ({float}, {int}, {bool}) for types in kinds):
@@ -374,6 +357,8 @@ def _render_table(values) -> str | None:
         elif types == {bool}:
             cells[j::width] = [("false", "true")[item] for item in column]
         # exact ints stay: "%s" gives the same text as str(int)
+    keys = [_render_key(name).replace("%", "%%") for name in vars(values[0])]
+    template = "{" + ",".join([key + "%s" for key in keys]) + "}"
     return "[" + ",".join([template] * len(values)) % tuple(cells) + "]"
 
 
@@ -381,19 +366,11 @@ def _render(value, texts: dict) -> str:
     """``value`` as canonical JSON.  ``texts`` holds, by id, the text of
     every dict value rendered so far in the payload, so an object held
     twice is rendered once; the payload keeps each of them alive, so no
-    id is reused during the render.  Exact floats, ints, strs and bools
-    are tested before the ``isinstance`` chain that their subclasses and
-    numpy's scalars take.  Only an exact list or tuple has its items'
-    types read here; ``_render_table`` takes the typed tuples."""
-    kind = type(value)
-    if kind is float:
-        return _render_floats((value,))[1:-1]
-    if kind is int:
-        return str(value)
-    if kind is str:
-        return json.dumps(value, ensure_ascii=False)
-    if kind is bool:
-        return "true" if value else "false"
+    id is reused during the render.  Only an exact list or tuple of exact
+    floats (a score or weight row) has its items' types read here;
+    ``_render_table`` takes the typed tuples (a witness list's pairs read
+    ``core._pairs``) and the record tables, and any other list renders
+    item by item."""
     if value is None:
         return "null"
     if isinstance(value, (bool, np.bool_)):
@@ -405,12 +382,8 @@ def _render(value, texts: dict) -> str:
     if isinstance(value, str):
         return json.dumps(value, ensure_ascii=False)
     if isinstance(value, (list, tuple)):
-        if kind is list or kind is tuple:
-            kinds = set(map(type, value))
-            if kinds == {float}:
-                return _render_floats(value)
-            if kinds == {str}:
-                return json.dumps(value, ensure_ascii=False, separators=(",", ":"))
+        if type(value) in (list, tuple) and set(map(type, value)) == {float}:
+            return _render_floats(value)
         return _render_table(value) or "[" + ",".join([_render(item, texts) for item in value]) + "]"
     if is_dataclass(value):  # a record: its fields, in declaration order
         value = vars(value)

@@ -13,6 +13,7 @@ from .core import (
     ResidualSet,
     _correspondence_entries,  # unused here; perfbench/worker.py traces it by name
     _mean_square,
+    _pairs,
     model_scores,
 )
 from .errors import AlignmentError, ValidationError, ZeroNormError
@@ -162,8 +163,7 @@ def _greedy_subset(entries: np.ndarray, k: int) -> tuple[int, ...]:
     all candidates in one reduction.  Row ``c`` of the C-contiguous
     transpose of the chosen rows is ``entries[chosen, c]``, so its sum has
     the same bits as that 1-d sum; the smallest index wins ties."""
-    m = entries.shape[0]
-    rows, cols = np.triu_indices(m, k=1)
+    rows, cols = _pairs(entries.shape[0])
     seed = int(np.argmin(entries[rows, cols]))  # first minimum in row-major order
     chosen = [int(rows[seed]), int(cols[seed])]
     while len(chosen) < k:

@@ -29,6 +29,7 @@ from ensdiag import (
     sweep_best_model,
     uniform_weights,
 )
+from ensdiag.core import _pairs
 from ensdiag.selection import _greedy_subset
 from helpers import (
     greedy_subset_reference,
@@ -63,13 +64,41 @@ def _residual_sets(seed, n=300, zero_rows=False, models=(2, 6)):
         yield rng, ResidualSet(_with_duplicates(rng, base, zero_rows))
 
 
+def _tie_sets():
+    """One and two members, with correspondences that tie S_min^2 exactly,
+    a perfect member among them."""
+    rng = np.random.default_rng(397)
+    for rows in (
+        [[1.0, 2.0]],
+        [[0.0, 0.0]],
+        [[1.0, 0.0], [1.0, 1.0]],  # R01 = R00 = S_min^2
+        [[2.0, 0.0], [1.0, 1.0]],  # R01 = R11 = S_min^2, best member 1
+        [[1.0, 2.0], [1.0, 2.0]],  # identical members
+        [[0.0, 0.0], [1.0, 1.0]],  # R01 = S_min^2 = 0
+    ):
+        yield rng, ResidualSet(rows)
+
+
+def test_pairs_are_the_upper_triangle_and_read_only():
+    for m in (1, 2, 3, 200):
+        rows, cols = _pairs(m)
+        expected = np.triu_indices(m, 1)
+        assert np.array_equal(rows, expected[0]) and np.array_equal(cols, expected[1])
+        assert _pairs(m)[0] is rows  # shared through the cache
+        for index in (rows, cols):
+            if index.size:
+                with pytest.raises(ValueError, match="read-only"):
+                    index[0] = 1
+
+
 def test_witnesses_match_pair_loops():
     checked = 0
-    for rng, rs in _residual_sets(401):
+    for rng, rs in chain(_tie_sets(), _residual_sets(401)):
         w = random_weights(rng, rs.n_models)
-        if np.any(np.sum(rs.residuals**2, axis=1) == 0.0):
-            continue  # angle-based checks are undefined
         expected = witnesses_reference(rs)
+        assert rs.witness_pairs == (expected[0], expected[2])
+        if rs.n_models < 2 or np.any(np.sum(rs.residuals**2, axis=1) == 0.0):
+            continue  # angle-based checks are undefined
         verdicts = (check_result1(rs, w), check_result2(rs, w), check_result3(rs, w))
         assert tuple(v.witnesses for v in verdicts) == expected
         checked += 1
@@ -77,7 +106,7 @@ def test_witnesses_match_pair_loops():
 
 
 def test_upper_tight_matches_pair_loop():
-    for rng, rs in _residual_sets(409, zero_rows=True):
+    for rng, rs in chain(_tie_sets(), _residual_sets(409, zero_rows=True)):
         w = random_weights(rng, rs.n_models)
         assert schwartz_bounds(rs, w).upper_tight == upper_tight_reference(rs)
 
@@ -94,8 +123,8 @@ def test_upper_tight_on_collinear_members_matches_pair_loop():
 
 def test_regime_matches_pair_loops():
     seen = set()
-    for rng, rs in _residual_sets(421):
-        if np.any(np.sum(rs.residuals**2, axis=1) == 0.0):
+    for rng, rs in chain(_tie_sets(), _residual_sets(421)):
+        if rs.n_models < 2 or np.any(np.sum(rs.residuals**2, axis=1) == 0.0):
             continue
         tol_equal, tol_cos = rng.uniform(0.01, 0.99, size=2)
         regime = classify_regime(rs, tol_equal, tol_cos)
@@ -236,3 +265,33 @@ def test_every_unused_import_is_a_trace_point(monkeypatch):
     for path in sorted(Path(ensdiag.core.__file__).parent.glob("*.py")):
         unused = {(path.stem, name) for name in _unused_imports(ast.parse(path.read_text()))}
         assert unused <= traced, f"{path.name}: unused imports {sorted(unused - traced)}"
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """The ``_name``s (not dunders) that a module's top level defines: its
+    functions, classes and assignments."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def test_every_private_module_name_is_read_in_the_package():
+    trees = {
+        path.name: ast.parse(path.read_text())
+        for path in sorted(Path(ensdiag.core.__file__).parent.glob("*.py"))
+    }
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    for name, tree in trees.items():
+        unread = _private_definitions(tree) - read
+        assert not unread, f"{name}: private names never read {sorted(unread)}"

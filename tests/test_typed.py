@@ -1,6 +1,7 @@
 """The report's typed values: symmetric matrices and pair lists that keep
 the arrays they came from, against plain tuples and the item-by-item
-renderer; and the residual array that ``residuals`` hands over uncopied."""
+renderer; and the residual arrays that ``residuals`` and ``model_score``
+hand over uncopied."""
 
 import copy
 import dataclasses
@@ -19,13 +20,14 @@ from ensdiag import (
     ValidationError,
     build_report,
     emit_report,
+    model_score,
     optimal_weights,
     parse_report,
     render_json,
     residuals,
     uniform_weights,
 )
-from ensdiag.core import _PairList
+from ensdiag.core import _BLOCK, _PairList
 from ensdiag.report import _SymmetricRows
 from helpers import NO_SHRINK, render_json_reference
 
@@ -217,11 +219,15 @@ def test_a_report_holds_typed_values():
     ids=["pickle", "deepcopy", "copy", "replace", "replace-field", "parse"],
 )
 def test_a_duplicated_report_is_equal_and_renders_the_same_bytes(duplicate):
-    built = _wide_report()
-    again = duplicate(built)
-    assert again == built
-    assert hash(again.correspondence) == hash(built.correspondence)
-    assert emit_report(again) == emit_report(built)
+    # 200 independent members: nearly every pair is a witness, so a parsed
+    # copy renders a 19,000-pair list and two 200x200 matrices item by item
+    for built in (_wide_report(), _wide_report(m=200)):
+        text = emit_report(built)
+        again = duplicate(built)
+        assert again == built
+        assert hash(again.correspondence) == hash(built.correspondence)
+        assert emit_report(again) == text
+    assert len(built.result1.witnesses) >= 19_000
 
 
 def test_pickle_and_deepcopy_keep_the_typed_values_and_their_sharing():
@@ -301,3 +307,12 @@ def test_an_overflowing_subtraction_is_still_refused():
     ens = ModelEnsemble(("a", "b"), [[1e308, 1.0], [0.0, 1.0]])
     with pytest.raises(ValidationError, match="residuals must be finite"):
         residuals(ens, obs)
+
+
+@pytest.mark.parametrize("n", [1, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+def test_model_score_is_its_one_member_sets_score(n):
+    z = np.random.default_rng(829 + n).standard_normal(n)
+    before = z.copy()
+    assert model_score(z) == ResidualSet(z[None, :]).s_min_sq
+    assert model_score(list(z)) == ResidualSet(z[None, :]).s_min_sq
+    assert z.flags.writeable and np.array_equal(z, before)
