@@ -58,14 +58,19 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} must be finite")
 
 
-def _frozen_float_array(values, what: str, order: str = "K") -> np.ndarray:
-    """A finite, read-only float64 copy of ``values`` in memory ``order``."""
+def _float_array(values, what: str, order: str = "K") -> np.ndarray:
+    """A float64 copy of ``values`` in memory ``order``, not yet scanned."""
     try:
-        arr = np.array(values, dtype=np.float64, copy=True, order=order)
+        return np.array(values, dtype=np.float64, copy=True, order=order)
     except (ValueError, TypeError):  # non-numeric items, or ragged rows
         raise ValidationError(f"{what} must be a rectangular array of numbers") from None
     except OverflowError:  # an integer beyond the float range
         raise ValidationError(f"{what} must be finite") from None
+
+
+def _frozen_float_array(values, what: str, order: str = "K") -> np.ndarray:
+    """A finite, read-only float64 copy of ``values`` in memory ``order``."""
+    arr = _float_array(values, what, order)
     _require_finite(arr, what)
     arr.setflags(write=False)
     return arr
@@ -152,12 +157,13 @@ class ModelEnsemble:
 class _Fresh:
     """A C-ordered float64 array that ``residuals`` or ``model_score`` has
     just made and that no one else holds, which ``ResidualSet`` takes over
-    without a copy."""
+    without a copy and scans for finiteness, naming it ``what``."""
 
-    __slots__ = ("array",)
+    __slots__ = ("array", "what")
 
-    def __init__(self, array: np.ndarray) -> None:
+    def __init__(self, array: np.ndarray, what: str) -> None:
         self.array = array
+        self.what = what
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,8 +206,8 @@ class ResidualSet:
     def __post_init__(self) -> None:
         arr = self.residuals
         if type(arr) is _Fresh:  # made in this module, held by no one else: no copy
+            _require_finite(arr.array, arr.what)  # unscanned: a subtraction may overflow
             arr = arr.array
-            _require_finite(arr, "residuals")  # the subtraction may overflow
             arr.setflags(write=False)
         else:
             arr = _frozen_float_array(arr, "residuals", order="C")
@@ -371,7 +377,7 @@ def residuals(ensemble: ModelEnsemble, obs: ObservationSeries) -> ResidualSet:
     _check_aligned(ensemble, obs)
     with np.errstate(over="ignore"):
         z = np.subtract(ensemble.outputs, obs.values, order="C")
-    return ResidualSet(_Fresh(z))
+    return ResidualSet(_Fresh(z, "residuals"))
 
 
 _BLOCK = 4096  # see _mean_square
@@ -393,10 +399,11 @@ def model_score(z) -> float:
     """Mean-squared departure of one residual vector, ``||z||^2 / len(z)``:
     the score of the one-member ResidualSet of ``z``, under the same range
     rules (ValidationError if it overflows or a nonzero ``z`` scores 0)."""
-    arr = _frozen_float_array(z, "residual vector", order="C")
+    arr = _float_array(z, "residual vector", order="C")
     if arr.ndim != 1 or arr.size == 0:
+        _require_finite(arr, "residual vector")  # a non-finite one is told so, whatever its shape
         raise ValidationError("residual vector must be non-empty and 1-d")
-    return ResidualSet(_Fresh(arr[None, :])).s_min_sq
+    return ResidualSet(_Fresh(arr[None, :], "residual vector")).s_min_sq  # scanned there
 
 
 def model_scores(rs: ResidualSet) -> np.ndarray:

@@ -9,7 +9,7 @@ values rendered with 17 significant digits (which round-trips float64
 exactly), matrices as row-major arrays of arrays, and a trailing
 newline.  Two runs on the same input and settings produce byte-identical
 text.  Four rules render faster than item by item, to the same bytes.  A
-float row (a score or weight list) takes one ``%.17g`` pass.  The two
+float row (a score or weight list) is formatted in one pass.  The two
 typed values that ``build_report`` makes keep the arrays they came from:
 a symmetric matrix (the correspondences, the cosines), a
 ``_SymmetricRows``, has its upper triangle formatted in one pass and
@@ -17,10 +17,13 @@ gathered into its mirror image, and a witness list, a ``core._PairList``,
 renders off the index arrays it took from the pair index
 ``core._pairs``.  A list of records of one dataclass type (the sweep's
 rows) renders column by column when each column holds only exact floats,
-ints or bools.  A shared object, one that the payload's dicts and
-records hold more than once (a report's Result 1/2 verdict, or Result
-3's witness list when it is Result 1's), is rendered once per payload.
-Everything else, a parsed report's matrices and witness lists among it,
+ints or bools.  A pass over fewer than ``_VECTOR_CELLS`` floats is one
+``%.17g`` format call; a longer one is ``_float_cells``, which converts
+the whole array to the same digits in numpy and hands the few values it
+cannot prove exact to ``%.17g``.  A shared object, one that the
+payload's dicts and records hold more than once (a report's Result 1/2
+verdict, or Result 3's witness list when it is Result 1's), is rendered
+once per payload.  Everything else, a parsed report's matrices and witness lists among it,
 renders item by item.
 
 The record dataclasses are the report's one schema.  A record renders as
@@ -240,15 +243,158 @@ _NON_FINITE = "reports must not contain NaN or infinite values"
 _INTEGRAL_CELL = re.compile(r",(-?\d+)(?=,)")
 
 
-def _render_floats(values) -> str:
-    """Exact floats as a JSON array, in one ``%.17g`` pass; an integral
-    cell keeps a ``.0``, so that it reads back as a float."""
+def _format_floats(values) -> str:
+    """Exact floats as comma-separated text, in one ``%.17g`` pass; an
+    integral cell keeps a ``.0``, so that it reads back as a float."""
     text = ("," + "%.17g," * len(values)) % tuple(values)
     if "n" in text:  # "inf" or "nan"
         raise ValidationError(_NON_FINITE)
     if text.count(".") != len(values):  # some cell has no fraction
         text = _INTEGRAL_CELL.sub(r",\1.0", text)
-    return "[" + text[1:-1] + "]"
+    return text[1:-1]
+
+
+#: From this many values on, a float array (a row, or a matrix's upper
+#: triangle) renders through ``_float_cells``; below it, through one
+#: ``%.17g`` pass, which costs less there.  The route depends on the size
+#: alone.  On a 2-core x86-64 host (Python 3.11, numpy 2.4) the two routes
+#: cost the same at about 200 values, a 20-model matrix's 210 among them
+#: (BENCH_vector_format.json).
+_VECTOR_CELLS = 256
+
+#: The width of a ``_float_cells`` cell.  Its last slot, which would hold a
+#: point after the 17th digit, is always NUL: a caller's separator goes there.
+_CELL = 40
+
+#: The split constant of Dekker's TwoProduct for float64: 2**27 + 1.
+_SPLIT = 134217729.0
+
+
+@lru_cache(maxsize=1)
+def _cell_tables() -> tuple[np.ndarray, ...]:
+    """The tables of ``_float_cells``.  The powers of ten 10**0 to 10**20,
+    each exact, and their Dekker halves.  The slots of the 17 digits, as
+    ``_float_cells`` lays them out, by group: the four digits of each of 0
+    to 9999, then the same with their trailing zeros left empty (for the
+    last group with a nonzero digit and the zero groups after it), then
+    the first digit, one of 0 to 9.  And a frame per sign and decimal
+    exponent k in -4..15: a ``-`` for a negative value, then for k < 0,
+    ``0.`` and -k-1 zeros, and for k >= 0, a point after digit k and a
+    ``0`` in the slots of digits 0 to k + 1, which a digit's byte covers
+    (``"0" | digit == digit``), so that no trailing zero left empty is one
+    that ``%.17g`` or the ``.0`` rule prints."""
+    powers = np.array([float(10**p) for p in range(21)])
+    scaled = _SPLIT * powers
+    high = scaled - (scaled - powers)
+    digit = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    shown = np.logical_or.accumulate(digit[:, ::-1] != 0, axis=1)[:, ::-1]  # to the last nonzero
+    digits = np.zeros((20010, 8), dtype=np.uint8)
+    digits[:10000, ::2] = digit + ord("0")
+    digits[10000:20000, ::2] = (digit + ord("0")) * shown
+    digits[20000:, 6] = np.arange(10) + ord("0")
+    frames = np.zeros((2, 20, _CELL), dtype=np.uint8)
+    frames[1, :, 0] = ord("-")
+    for k in range(-4, 16):
+        if k < 0:
+            frames[:, k + 4, 1:3] = (ord("0"), ord("."))
+            frames[:, k + 4, 3 : 2 - k] = ord("0")
+        else:
+            frames[:, k + 4, 6 : 8 + 2 * (k + 1) : 2] = ord("0")
+            frames[:, k + 4, 7 + 2 * k] = ord(".")
+    return powers, high, powers - high, digits.view("S8").ravel(), frames.reshape(40, _CELL)
+
+
+def _float_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``%.17g`` text of each value of a float64 array, an integral one
+    with a ``.0``, as the rows of an (n, ``_CELL``) uint8 array, NUL-padded;
+    and the mask of the values whose text it certifies.  Each other row is
+    left to the caller.
+
+    A value x with 1e-4 <= |x| < 1e16 prints in fixed notation.  With
+    k = floor(log10 |x|), clipped to -4..15, Dekker's TwoProduct splits
+    V = |x| * 10**(16 - k) into hi + lo exactly: 10**(16 - k) is exact,
+    and in this domain no product or split overflows or underflows.  The
+    value is certified only if V lies in [1e16, 1e17), tested exactly on
+    hi and the sign of lo, so a k that log10 got wrong is not certified;
+    nor is a zero, a value below 1e-4 or one from 1e16 on.  The 17 digits
+    are V rounded to an integer half to even, as ``%.17g``'s correctly
+    rounded conversion does: hi is an even integer here, so the fraction
+    of V is that of lo, compared with floor(lo) + 0.5.  No value rounds
+    up to 10**17, which would need |x| under a power of ten by at most
+    5e-18 of it: 1 to 1e15 are floats, 0.1, 0.01 and 0.001 round up to
+    theirs, and in each case the float below is farther off; a value that
+    did would be left uncertified.
+
+    A row is laid out in slots: the sign, then ``0.`` and three zeros for
+    the leading zeros of k < 0, then each digit followed by the slot for a
+    point after it; slots left empty hold NUL.  The digits come from a
+    table, four at a time, with the trailing zeros of all 17 left empty,
+    as %g drops them; the frame for the sign and k then writes the point
+    and the zeros before it and just after it (the ``.0`` rule's)."""
+    powers, high, low, digits, frames = _cell_tables()
+    a = np.abs(values)
+    certified = (a >= 1e-4) & (a < 1e16)
+    a = np.where(certified, a, 1.0)  # no log10 of 0, no int cast of a huge value
+    k = np.clip(np.floor(np.log10(a)), -4, 15).astype(np.intp)
+    p = 16 - k
+    hi = a * powers.take(p)
+    b_high, b_low = high.take(p), low.take(p)
+    scaled = _SPLIT * a
+    a_high = scaled - (scaled - a)
+    a_low = a - a_high
+    lo = a_low * b_low - (((hi - a_high * b_high) - a_low * b_high) - a_high * b_low)
+    certified &= (hi > 1e16) | ((hi == 1e16) & (lo >= 0.0))
+    certified &= (hi < 1e17) | ((hi == 1e17) & (lo < 0.0))
+    whole = np.floor(lo)
+    d = np.where(certified, hi, 1e16).astype(np.int64) + whole.astype(np.int64)
+    half = whole + 0.5
+    d += (lo > half) | ((lo == half) & (d & 1 == 1))
+    certified &= d < 10**17  # never false: see above
+    groups = np.empty((values.size, 5), dtype=np.intp)  # d's 17 digits: 1, then 4 by 4
+    top = d // 10**8
+    groups[:, 0] = top // 10**8
+    for j, part in ((1, top - groups[:, 0] * 10**8), (3, d - top * 10**8)):
+        part = part.astype(np.uint32)  # below 10**8: faster to divide
+        groups[:, j] = part // 10000
+        groups[:, j + 1] = part - groups[:, j] * 10000
+    followed = np.zeros(values.size, dtype=bool)  # by a group with a nonzero digit
+    for j in (4, 3, 2, 1):
+        nonzero = groups[:, j] != 0
+        groups[:, j] += 10000 * ~followed  # its trailing zeros left empty
+        followed |= nonzero
+    groups[:, 0] += 20000
+    cells = digits.take(groups, mode="clip").view(np.uint8)  # clip: a refused d of 10**17
+    cells |= frames.take(np.signbit(values) * 20 + k + 4, axis=0)
+    return cells, certified
+
+
+def _cell_texts(values: np.ndarray) -> np.ndarray:
+    """``_float_cells`` of finite values, each row it does not certify
+    filled with that value's ``%.17g`` text, by ``_format_floats``' rules,
+    and each row's last slot holding a comma."""
+    cells, certified = _float_cells(values)
+    rest = np.flatnonzero(~certified)
+    if rest.size:
+        texts = _format_floats(values[rest].tolist()).split(",")
+        cells[rest] = np.array(texts, dtype=f"S{_CELL}").view(np.uint8).reshape(-1, _CELL)
+    cells[:, -1] = ord(",")
+    return cells
+
+
+def _text(cells: np.ndarray) -> str:
+    """The text of NUL-padded ASCII cells, NULs dropped."""
+    return cells.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _render_floats(values) -> str:
+    """Exact floats as a JSON array: by ``_format_floats``, or from
+    ``_VECTOR_CELLS`` values on, by ``_cell_texts``, to the same text."""
+    if len(values) < _VECTOR_CELLS:
+        return "[" + _format_floats(values) + "]"
+    array = np.array(values, dtype=np.float64)
+    if not np.isfinite(array).all():
+        raise ValidationError(_NON_FINITE)
+    return "[" + _text(_cell_texts(array))[:-1] + "]"
 
 
 @lru_cache(maxsize=1024)
@@ -305,12 +451,19 @@ def _render_symmetric(matrix: _SymmetricRows) -> str:
     values = matrix.array.take(upper)
     if not np.isfinite(values).all():
         raise ValidationError(_NON_FINITE)
-    texts = ("%.17g," * values.size % tuple(values.tolist())).split(",")
-    for k in np.flatnonzero(values == np.trunc(values)).tolist():
-        if _INTEGRAL_TEXT.fullmatch(texts[k]):  # "1" or "-0": no fraction
-            texts[k] += ".0"
-    grid = np.array(texts, dtype=object)[mirror].reshape(m, m).tolist()
-    return "[[" + "],[".join([",".join(row) for row in grid]) + "]]"
+    if values.size < _VECTOR_CELLS:
+        texts = ("%.17g," * values.size % tuple(values.tolist())).split(",")
+        for k in np.flatnonzero(values == np.trunc(values)).tolist():
+            if _INTEGRAL_TEXT.fullmatch(texts[k]):  # "1" or "-0": no fraction
+                texts[k] += ".0"
+        grid = np.array(texts, dtype=object)[mirror].reshape(m, m).tolist()
+        return "[[" + "],[".join([",".join(row) for row in grid]) + "]]"
+    rows = np.empty((m, m * _CELL + 2), dtype=np.uint8)
+    rows[:, 0] = ord("[")
+    rows[:, 1:-1] = _cell_texts(values).take(mirror, axis=0).reshape(m, m * _CELL)
+    rows[:, -2:] = (ord("]"), ord(","))  # over the row's last comma
+    rows[-1, -1] = 0
+    return "[" + _text(rows) + "]"
 
 
 @lru_cache(maxsize=8)
@@ -378,7 +531,7 @@ def _render(value, texts: dict) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _render_floats((float(value),))[1:-1]
+        return _format_floats((float(value),))
     if isinstance(value, str):
         return json.dumps(value, ensure_ascii=False)
     if isinstance(value, (list, tuple)):

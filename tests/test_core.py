@@ -25,6 +25,7 @@ from ensdiag import (
     model_scores,
     residuals,
 )
+from ensdiag import core
 from ensdiag.core import _close
 from helpers import (
     NO_SHRINK,
@@ -288,6 +289,27 @@ def test_model_score_rejects_empty():
 def test_model_score_follows_the_residual_set_range_rules(z, message):
     with pytest.raises(ValidationError, match=message):
         model_score(z)
+
+
+def test_model_score_scans_its_vector_for_finiteness_once(monkeypatch):
+    scans = []
+
+    def require_finite(arr, what):
+        scans.append((arr.size, what))
+        return require_finite.original(arr, what)
+
+    require_finite.original = core._require_finite
+    monkeypatch.setattr(core, "_require_finite", require_finite)
+    assert model_score([1.0, 2.0, 3.0]) == pytest.approx(14.0 / 3.0, rel=1e-15)
+    vector_scans = [scan for scan in scans if scan[0] == 3]  # not its 1x1 Gram entry
+    assert vector_scans == [(3, "residual vector")]
+    for bad in ([1.0, math.nan], [math.inf, 0.0], [[1.0, -math.inf]], [[math.nan]] * 2):
+        with pytest.raises(ValidationError, match="^residual vector must be finite$"):
+            model_score(bad)
+    with pytest.raises(ValidationError, match="^residual vector must be finite$"):
+        model_score([10**400])
+    with pytest.raises(ValidationError, match="residuals must be finite"):
+        residuals(ModelEnsemble(("a",), [[1e308]]), ObservationSeries([0], [-1e308]))
 
 
 def test_model_score_is_the_set_score_bit_for_bit():
