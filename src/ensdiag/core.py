@@ -54,7 +54,7 @@ SCORE_AGREEMENT_RTOL = 1e-10
 
 
 def _require_finite(arr: np.ndarray, what: str) -> None:
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr), None):
         raise ValidationError(f"{what} must be finite")
 
 
@@ -217,21 +217,22 @@ class ResidualSet:
         object.__setattr__(self, "n_points", arr.shape[1])
 
         entries, scores = _correspondence_entries(self)
+        listed = scores.tolist()
+        s_min_sq = min(listed)
+        best = listed.index(s_min_sq)  # the lowest index with the least score
+        perfect = tuple([i for i, s in enumerate(listed) if s == 0.0]) if s_min_sq == 0.0 else ()
         norms = np.sqrt(scores)
-        best = int(np.argmin(scores))
-        s_min_sq = float(scores[best])
-        perfect = tuple(np.flatnonzero(scores == 0.0).tolist())  # the all-zero rows
         cosines = None
         if not perfect:
-            cosines = entries / np.outer(norms, norms)
-            overshoot = float(np.abs(cosines).max()) - 1.0
+            cosines = entries / (norms[:, None] * norms)  # np.outer's products
+            overshoot = float(np.maximum.reduce(np.abs(cosines), None)) - 1.0
             if overshoot > COSINE_OVERSHOOT_TOL:
                 raise EnsdiagError(
                     f"internal inconsistency: cosine overshoot {overshoot:.3e} "
                     f"exceeds the rounding allowance {COSINE_OVERSHOOT_TOL}"
                 )
-            cosines = np.clip(cosines, -1.0, 1.0)
-            np.fill_diagonal(cosines, 1.0)
+            np.minimum(np.maximum(cosines, -1.0, out=cosines), 1.0, out=cosines)  # np.clip
+            cosines.reshape(-1)[:: len(listed) + 1] = 1.0  # the diagonal
         geometry = {
             "entries": entries, "scores": scores, "norms": norms, "best": best,
             "s_min_sq": s_min_sq, "perfect": perfect, "cosines": cosines,
@@ -252,7 +253,7 @@ class ResidualSet:
         iff ``entries[b, m] >= s_min_sq`` for every ``m``: the gradient
         ``2 * entries[b]`` at the vertex has no descent direction.
         """
-        return bool((self.entries[self.best] >= self.s_min_sq).all())
+        return bool(np.logical_and.reduce(self.entries[self.best] >= self.s_min_sq))
 
     @cached_property
     def witness_pairs(self) -> tuple[_PairList, _PairList]:
@@ -260,17 +261,15 @@ class ResidualSet:
         is at most ``s_min_sq``, and those strictly below it: one comparison
         of the correspondences gathered over ``_pairs``, with and without
         ties.  With no tie, both are the same tuple.  Each is a
-        ``_PairList``, a tuple of int pairs that keeps its index arrays, so
-        a report neither re-checks nor re-reads them."""
+        ``_PairList`` of the shared tuples of ``_pair_tuples``, which keeps
+        its positions in ``_pairs``, so a report neither re-checks nor
+        re-reads the pairs."""
         m = self.n_models
         rows, cols = _pairs(m)
         values = self.entries[rows, cols]
-        at_most = values <= self.s_min_sq
-        pairs = _PairList(rows[at_most], cols[at_most], m)
-        ties = values[at_most] == self.s_min_sq
-        if not ties.any():
-            return pairs, pairs
-        return pairs, _PairList(pairs.rows[~ties], pairs.cols[~ties], m)
+        pairs = _PairList._take(m, np.flatnonzero(values <= self.s_min_sq))
+        below = np.flatnonzero(values < self.s_min_sq)
+        return pairs, pairs if below.size == len(pairs) else _PairList._take(m, below)
 
 
 @lru_cache(maxsize=8)
@@ -284,13 +283,21 @@ def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
+@lru_cache(maxsize=8)
+def _pair_tuples(m: int) -> np.ndarray:
+    """The pairs of ``_pairs(m)`` as int 2-tuples, in a read-only object array."""
+    rows, cols = _pairs(m)
+    table = np.fromiter(zip(rows.tolist(), cols.tolist()), dtype=object, count=rows.size)
+    table.setflags(write=False)
+    return table
+
+
 class _PairList(tuple):
-    """Index pairs (i, j) with ``0 <= i < j < m``: a tuple of int 2-tuples,
-    which keeps the 1-d index arrays ``rows`` and ``cols`` it was made from
-    and ``m``, so that a report need not walk the pairs to check them, nor
-    a renderer to read them.  The bound is checked once, in numpy, when it
-    is made.  It compares, hashes, pickles and copies as the plain tuple
-    does."""
+    """Index pairs (i, j) with ``0 <= i < j < m``, as the shared tuples of
+    ``_pair_tuples(m)``, keeping ``m`` and ``index``, their read-only
+    positions in ``_pairs(m)``, so that neither a report's check nor its
+    render walks them.  Made from index arrays, it checks them once, in
+    numpy.  It compares, hashes, pickles and copies as the plain tuple does."""
 
     def __new__(cls, rows, cols, m: int):
         rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
@@ -298,14 +305,18 @@ class _PairList(tuple):
             raise ValidationError("pair indices must be two 1-d arrays of one length")
         if not ((0 <= rows) & (rows < cols) & (cols < m)).all():
             raise ValidationError(f"not all pairs i < j of {m} models")
-        self = super().__new__(cls, zip(rows.tolist(), cols.tolist()))
-        rows.setflags(write=False)
-        cols.setflags(write=False)
-        self.rows, self.cols, self.m = rows, cols, int(m)
+        return cls._take(int(m), rows * (2 * m - rows - 1) // 2 + cols - rows - 1)
+
+    @classmethod
+    def _take(cls, m: int, index: np.ndarray) -> _PairList:
+        """The pairs at positions ``index`` of ``_pairs(m)``, unchecked."""
+        self = tuple.__new__(cls, _pair_tuples(m)[index].tolist())
+        index.setflags(write=False)
+        self.index, self.m = index, m
         return self
 
     def __reduce__(self):
-        return _PairList, (self.rows, self.cols, self.m)
+        return _PairList._take, (self.m, self.index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,8 +399,8 @@ def _mean_square(z: np.ndarray) -> np.ndarray | float:
     score.  No BLAS takes part, and a row gives the same bits whatever the
     leading axes: einsum does so only for rows within its 8,192-element
     buffer, so longer rows are summed in blocks of _BLOCK, in order."""
-    total = 0.0
-    for start in range(0, z.shape[-1], _BLOCK):
+    total = np.einsum("...t,...t->...", z[..., :_BLOCK], z[..., :_BLOCK])
+    for start in range(_BLOCK, z.shape[-1], _BLOCK):
         block = z[..., start : start + _BLOCK]
         total = total + np.einsum("...t,...t->...", block, block)
     return total / z.shape[-1]
@@ -416,7 +427,7 @@ def _refuse_false_zeros(scores: np.ndarray, z: np.ndarray) -> None:
     """ValidationError if a nonzero row of ``z`` (its last axis) scores 0 in
     ``scores``, its squares underflowing; only rows that score 0 are read."""
     zero = scores == 0.0
-    if zero.any() and z[zero].any():
+    if np.logical_or.reduce(zero, None) and z[zero].any():
         raise ValidationError("residuals too small: a nonzero residual row scores 0")
 
 
@@ -446,7 +457,7 @@ def _correspondence_entries(rs: ResidualSet) -> tuple[np.ndarray, np.ndarray]:
             "internal inconsistency: correspondence diagonal departs from "
             "the per-model scores"
         )
-    np.fill_diagonal(entries, scores)  # one score per member
+    entries.reshape(-1)[:: len(scores) + 1] = scores  # one score per member
     return entries, scores
 
 

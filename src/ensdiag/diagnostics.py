@@ -187,7 +187,7 @@ def schwartz_bounds(rs: ResidualSet, w: WeightVector) -> ScoreBounds:
         )
     rows, cols = _pairs(rs.n_models)
     floor = (1.0 - TIGHT_COSINE_TOL) * (rs.norms[rows] * rs.norms[cols])
-    upper_tight = not (rs.entries[rows, cols] < floor).any()
+    upper_tight = not np.logical_or.reduce(rs.entries[rows, cols] < floor)
     return ScoreBounds(lower=0.0, upper=upper, actual=actual, upper_tight=upper_tight)
 
 
@@ -207,19 +207,16 @@ def classify_regime(
     """
     _require_two_models(rs)
     _check_tolerances(tol_equal, tol_cos)
-    scores, best, s_min_sq = rs.scores, rs.best, rs.s_min_sq
+    scores, best, s_min_sq = rs.scores.tolist(), rs.best, rs.s_min_sq
+    cosines = cosine_matrix(rs)
     rows, cols = _pairs(rs.n_models)
-    cosines = cosine_matrix(rs)[rows, cols]
 
-    equally_good = float(scores.max()) / s_min_sq - 1.0 <= tol_equal
-    low_corr = bool(np.all(cosines <= tol_cos))
-    if equally_good and low_corr:
+    equally_good = max(scores) / s_min_sq - 1.0 <= tol_equal
+    if equally_good and np.logical_and.reduce(cosines[rows, cols] <= tol_cos):
         return Regime.EQUALLY_GOOD_LOW_CORRESPONDENCE
 
-    others = np.delete(scores, best)
-    dominant = s_min_sq <= tol_equal * float(others.min())
-    non_best = (rows != best) & (cols != best)
-    non_best_positive = bool(np.all(cosines[non_best] > 0.0))
-    if dominant and non_best_positive:
-        return Regime.DOMINANT_BEST_POSITIVE_CORRESPONDENCE
+    if s_min_sq <= tol_equal * min(scores[:best] + scores[best + 1 :]):  # a dominant best
+        non_best = (rows != best) & (cols != best)
+        if np.logical_and.reduce(cosines[rows[non_best], cols[non_best]] > 0.0):
+            return Regime.DOMINANT_BEST_POSITIVE_CORRESPONDENCE
     return Regime.NEITHER

@@ -4,27 +4,21 @@ CSV ingest has two converters: numpy's C reader for each chunk of rows,
 and the strict row rules for a chunk that it refuses, which raise the
 error that checking every row in turn would.
 
-Reports are emitted as canonical JSON: fixed key order, floating-point
-values rendered with 17 significant digits (which round-trips float64
-exactly), matrices as row-major arrays of arrays, and a trailing
-newline.  Two runs on the same input and settings produce byte-identical
-text.  Four rules render faster than item by item, to the same bytes.  A
-float row (a score or weight list) is formatted in one pass.  The two
-typed values that ``build_report`` makes keep the arrays they came from:
-a symmetric matrix (the correspondences, the cosines), a
-``_SymmetricRows``, has its upper triangle formatted in one pass and
-gathered into its mirror image, and a witness list, a ``core._PairList``,
-renders off the index arrays it took from the pair index
-``core._pairs``.  A list of records of one dataclass type (the sweep's
-rows) renders column by column when each column holds only exact floats,
-ints or bools.  A pass over fewer than ``_VECTOR_CELLS`` floats is one
-``%.17g`` format call; a longer one is ``_float_cells``, which converts
-the whole array to the same digits in numpy and hands the few values it
-cannot prove exact to ``%.17g``.  A shared object, one that the
-payload's dicts and records hold more than once (a report's Result 1/2
-verdict, or Result 3's witness list when it is Result 1's), is rendered
-once per payload.  Everything else, a parsed report's matrices and witness lists among it,
-renders item by item.
+Reports are emitted as canonical JSON: fixed key order, floats with 17
+significant digits (which round-trips float64 exactly), matrices as
+row-major arrays of arrays, and a trailing newline, so that two runs on
+the same input and settings give byte-identical text.  A value renders by
+the renderer of the first class of its type's MRO in one table, a record
+by a key template made once per class, and a float row in one pass (one
+``%.17g`` call, or from ``_VECTOR_CELLS`` values on ``_float_cells``, an
+exact numpy conversion to the same digits).  The typed values that
+``build_report`` makes are neither re-checked nor walked: a symmetric
+matrix (``_SymmetricRows``) formats its upper triangle once and mirrors
+it, and a witness list (``core._PairList``) holds shared tuples from a
+per-M table and renders off its positions in ``core._pairs``.  The
+sweep's records render column by column, and a list, tuple, record or
+float held twice renders once.  Everything else, a parsed report's matrices and
+witness lists among it, renders item by item.
 
 The record dataclasses are the report's one schema.  A record renders as
 its fields in declaration order and an Enum as its value; ``parse_report``
@@ -39,10 +33,11 @@ import enum
 import io
 import json
 import math
-import re
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
 from itertools import chain
+from json.encoder import encode_basestring
+from operator import itemgetter
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
@@ -53,6 +48,7 @@ from .core import (
     ObservationSeries,
     WeightVector,
     _PairList,
+    _pair_tuples,
     cosine_matrix,
     correspondence_matrix,  # unused here; perfbench/worker.py traces it by name
     ensemble_score,
@@ -134,10 +130,9 @@ class DiagnosticsReport:
         """Refuse what ``build_report`` cannot produce, so that a parsed
         report obeys the same rules: an interval of ``n_points`` times, one
         entry per model, M×M matrices, indices and witness pairs ``i < j``
-        in range (a ``_PairList`` made for M models is not walked: it was
-        checked when it was made, off the pair index ``core._pairs``), one
-        best member in every verdict, the best member's name, and simplex
-        weights."""
+        in range, one best member in every verdict, the best member's name,
+        and simplex weights.  A ``_PairList`` made for M models and
+        ``_SimplexWeights`` were checked when they were made."""
         if self.interval_end - self.interval_start + 1 != self.n_points:
             raise _malformed("report.interval", f"not {self.n_points} consecutive times")
         m = len(self.model_names)
@@ -164,10 +159,15 @@ class DiagnosticsReport:
                 raise _malformed(f"report.{name}.best_model_index", "not best.index")
         if self.best_name != self.model_names[self.best_index]:
             raise _malformed("report.best_name", f"not model {self.best_index}'s name")
-        try:
-            WeightVector(self.weights_used)
-        except ValidationError as exc:
-            raise _malformed("report.weights_used", str(exc)) from None
+        if type(self.weights_used) is not _SimplexWeights:  # else checked when made
+            try:
+                WeightVector(self.weights_used)
+            except ValidationError as exc:
+                raise _malformed("report.weights_used", str(exc)) from None
+
+
+class _SimplexWeights(tuple):
+    """The weights of a ``WeightVector``, which were checked when it was made."""
 
 
 def build_report(
@@ -192,10 +192,9 @@ def build_report(
     (``ResidualSet.witness_pairs``).  The regime tolerances are checked
     even where no regime is classified.
 
-    The matrices are ``_SymmetricRows`` of the set's arrays and the
-    witness lists ``_PairList``s: tuples that keep the arrays they came
-    from, so that the report's checks and its render read those arrays
-    instead of every cell.
+    The weights, matrices and witness lists are typed tuples (see
+    ``__post_init__``, ``_SymmetricRows``, ``core._PairList``), which the
+    report's checks and its render read without a walk over every cell.
     """
     _check_tolerances(tol_equal, tol_cos)
     rs = residuals(ens, obs)
@@ -207,10 +206,10 @@ def build_report(
         interval_end=int(obs.times[-1]),
         n_points=obs.n_points,
         model_names=ens.model_names,
-        weights_used=tuple(weights.weights.tolist()),
+        weights_used=_SimplexWeights(weights.weights.tolist()),
         per_model_scores=tuple(rs.scores.tolist()),
-        correspondence=_SymmetricRows(rs.entries),
-        cosines=None if rs.perfect else _SymmetricRows(cosine_matrix(rs)),
+        correspondence=_SymmetricRows(rs.entries, symmetric=True),
+        cosines=None if rs.perfect else _SymmetricRows(cosine_matrix(rs), symmetric=True),
         perfect_models=rs.perfect,
         ensemble_score=ensemble_score(rs, weights),
         best_index=rs.best,
@@ -238,20 +237,17 @@ def build_report(
 
 _NON_FINITE = "reports must not contain NaN or infinite values"
 
-#: An integral cell of a bulk float row, such as ``,1,`` or ``,-0,``:
-#: ``%.17g`` drops the fraction that JSON needs to type it as a float.
-_INTEGRAL_CELL = re.compile(r",(-?\d+)(?=,)")
-
 
 def _format_floats(values) -> str:
     """Exact floats as comma-separated text, in one ``%.17g`` pass; an
     integral cell keeps a ``.0``, so that it reads back as a float."""
-    text = ("," + "%.17g," * len(values)) % tuple(values)
+    text = "%.17g," * len(values) % tuple(values)
     if "n" in text:  # "inf" or "nan"
         raise ValidationError(_NON_FINITE)
-    if text.count(".") != len(values):  # some cell has no fraction
-        text = _INTEGRAL_CELL.sub(r",\1.0", text)
-    return text[1:-1]
+    if text.count(".") != len(values):  # some cell, such as "1", "-0" or "1e+17", has no point
+        cells = text.split(",")
+        text = ",".join([c if "." in c or not c.lstrip("-").isdigit() else c + ".0" for c in cells])
+    return text[:-1]
 
 
 #: From this many values on, a float array (a row, or a matrix's upper
@@ -404,19 +400,18 @@ def _render_key(key: str) -> str:
 
 class _SymmetricRows(tuple):
     """The rows of a square float64 array that equals its transpose bit
-    for bit (signed zeros included): a tuple of float tuples, which keeps
-    a read-only copy of the array as ``array``, so that the renderer can
-    read the upper triangle off it instead of checking every cell.  Made
-    from any other array, it is the plain tuple of the array's rows.  It
-    compares, hashes, pickles and copies as the plain tuple does."""
+    for bit (signed zeros included): a tuple of float tuples that keeps, for
+    the renderer, a read-only copy of the array as ``array``, or the array
+    itself if the caller made it ``symmetric`` and holds it no more (a
+    ``ResidualSet``'s), unchecked.  Made from any other array, it is the
+    plain tuple of its rows.  It compares, hashes, pickles and copies as
+    the plain tuple does."""
 
-    def __new__(cls, array):
-        arr = np.array(array)  # its own copy, which no caller can change
+    def __new__(cls, array, symmetric: bool = False):
+        arr = np.asarray(array) if symmetric else np.array(array)  # a copy no caller can change
         rows = tuple(map(tuple, arr.tolist()))
-        square = arr.ndim == 2 and arr.shape[0] == arr.shape[1]
-        if not (square and arr.dtype == np.float64):
-            return rows
-        if not np.array_equal(arr.view(np.int64), arr.T.view(np.int64)):
+        square = arr.ndim == 2 and arr.shape[0] == arr.shape[1] and arr.dtype == np.float64
+        if not (symmetric or square and np.array_equal(arr.view(np.int64), arr.T.view(np.int64))):
             return rows
         arr.setflags(write=False)
         self = super().__new__(cls, rows)
@@ -425,10 +420,6 @@ class _SymmetricRows(tuple):
 
     def __reduce__(self):
         return _SymmetricRows, (self.array,)
-
-
-#: The text of an integral cell that ``%.17g`` leaves without a fraction.
-_INTEGRAL_TEXT = re.compile(r"-?\d+")
 
 
 @lru_cache(maxsize=8)
@@ -442,22 +433,24 @@ def _triangle(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(upper), (position + np.triu(position, 1).T).ravel()
 
 
+@lru_cache(maxsize=8)
+def _grid(m: int) -> tuple[str, itemgetter]:
+    """The template of an m×m JSON matrix, and the getter of its cells' upper-triangle texts."""
+    mirror = _triangle(m)[1].tolist()
+    return "[[" + "],[".join([",".join(["%s"] * m)] * m) + "]]", itemgetter(*mirror)
+
+
 def _render_symmetric(matrix: _SymmetricRows) -> str:
     """A symmetric float matrix off its array: each value of the upper
-    triangle formatted once, by ``_render_floats``' rules, and gathered
-    into its mirror image."""
+    triangle formatted once, by ``_render_floats``' rules, and mirrored."""
     m = len(matrix)
     upper, mirror = _triangle(m)
     values = matrix.array.take(upper)
+    if values.size < _VECTOR_CELLS:
+        template, cells = _grid(m)
+        return template % cells(_format_floats(values.tolist()).split(","))
     if not np.isfinite(values).all():
         raise ValidationError(_NON_FINITE)
-    if values.size < _VECTOR_CELLS:
-        texts = ("%.17g," * values.size % tuple(values.tolist())).split(",")
-        for k in np.flatnonzero(values == np.trunc(values)).tolist():
-            if _INTEGRAL_TEXT.fullmatch(texts[k]):  # "1" or "-0": no fraction
-                texts[k] += ".0"
-        grid = np.array(texts, dtype=object)[mirror].reshape(m, m).tolist()
-        return "[[" + "],[".join([",".join(row) for row in grid]) + "]]"
     rows = np.empty((m, m * _CELL + 2), dtype=np.uint8)
     rows[:, 0] = ord("[")
     rows[:, 1:-1] = _cell_texts(values).take(mirror, axis=0).reshape(m, m * _CELL)
@@ -467,27 +460,20 @@ def _render_symmetric(matrix: _SymmetricRows) -> str:
 
 
 @lru_cache(maxsize=8)
-def _pair_texts(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """``"[i,"`` and ``"j],"`` for every index of m models."""
-    heads = np.array([f"[{i}," for i in range(m)], dtype=object)
-    tails = np.array([f"{j}]," for j in range(m)], dtype=object)
-    return heads, tails
+def _pair_texts(m: int) -> np.ndarray:
+    """``"[i,j]"`` for each pair of ``core._pair_tuples(m)``, in its order."""
+    return np.array(["[%d,%d]" % pair for pair in _pair_tuples(m).tolist()], dtype=object)
 
 
 def _render_pairs(pairs: _PairList) -> str:
-    """Index pairs off their arrays, with no pass over the pairs."""
-    heads, tails = _pair_texts(pairs.m)
-    texts = np.empty(2 * len(pairs), dtype=object)
-    texts[0::2] = heads[pairs.rows]
-    texts[1::2] = tails[pairs.cols]
-    return "[" + "".join(texts.tolist())[:-1] + "]"
+    """Index pairs off their positions, with no pass over the pairs."""
+    return "[" + ",".join(_pair_texts(pairs.m)[pairs.index].tolist()) + "]"
 
 
 def _render_table(values) -> str | None:
-    """A symmetric matrix or a pair list off the arrays it keeps (a witness
-    list's pairs read ``core._pairs``); else records of one dataclass type,
-    column by column when each column is all exact floats, ints or bools;
-    else None, for the caller to render item by item."""
+    """A symmetric matrix or a pair list off the arrays it keeps; else
+    records of one dataclass type, column by column when each column is all
+    exact floats, ints or bools; else None, to render item by item."""
     if type(values) is _SymmetricRows:
         return _render_symmetric(values)
     if type(values) is _PairList:
@@ -495,9 +481,10 @@ def _render_table(values) -> str | None:
     kind = type(values[0]) if values else None
     if not is_dataclass(kind) or set(map(type, values)) != {kind}:
         return None
+    names, template = _record_plan(kind)
     rows = [vars(value).values() for value in values]
-    width = len(rows[0])
-    if set(map(len, rows)) != {width}:
+    width = len(names)
+    if set(map(len, rows)) != {width}:  # else some record has attributes beyond its fields
         return None
     cells = list(chain.from_iterable(rows))  # row-major: column j is cells[j::width]
     columns = [cells[j::width] for j in range(width)]
@@ -510,47 +497,79 @@ def _render_table(values) -> str | None:
         elif types == {bool}:
             cells[j::width] = [("false", "true")[item] for item in column]
         # exact ints stay: "%s" gives the same text as str(int)
-    keys = [_render_key(name).replace("%", "%%") for name in vars(values[0])]
-    template = "{" + ",".join([key + "%s" for key in keys]) + "}"
     return "[" + ",".join([template] * len(values)) % tuple(cells) + "]"
 
 
+def _render_sequence(value, texts: dict) -> str:
+    """In one pass if all items are exact floats, else by ``_render_table``, else item by item."""
+    if type(value) is not _PairList and set(map(type, value)) == {float}:  # a score or weight row
+        return _render_floats(value)
+    return _render_table(value) or "[" + ",".join([_render(item, texts) for item in value]) + "]"
+
+
+def _render_dict(value: dict, texts: dict) -> str:
+    return "{" + ",".join([_render_key(str(k)) + _render(v, texts) for k, v in value.items()]) + "}"
+
+
+@lru_cache(maxsize=256)
+def _record_plan(kind: type) -> tuple[tuple[str, ...], str]:
+    """Dataclass ``kind``'s field names and its records' ``%s`` JSON template."""
+    names = tuple(field.name for field in fields(kind))
+    return names, "{" + ",".join([_render_key(n).replace("%", "%%") + "%s" for n in names]) + "}"
+
+
+def _render_record(value, texts: dict) -> str:
+    """A record by its class's plan, or as its attributes' dict if they are not its fields."""
+    names, template = _record_plan(type(value))
+    attributes = vars(value)
+    if tuple(attributes) != names:
+        return _render_dict(attributes, texts)
+    return template % tuple([_render(item, texts) for item in attributes.values()])
+
+
+def _refuse(value, texts: dict) -> str:
+    shown = vars(value) if is_dataclass(value) else value  # a dataclass's class: its namespace
+    raise TypeError(f"cannot serialize {type(shown).__name__} to canonical JSON")
+
+
+#: The renderer of the instances of each class and its subclasses.
+_RENDERERS = {
+    type(None): lambda value, texts: "null",
+    **dict.fromkeys((bool, np.bool_), lambda value, texts: "true" if value else "false"),
+    **dict.fromkeys((int, np.integer), lambda value, texts: str(int(value))),
+    **dict.fromkeys((float, np.floating), lambda value, texts: _format_floats((float(value),))),
+    str: lambda value, texts: encode_basestring(value),
+    **dict.fromkeys((list, tuple), _render_sequence),
+    dict: _render_dict,
+    enum.Enum: lambda value, texts: _render(value.value, texts),
+    object: _refuse,
+}
+#: The renderers whose values a payload may hold more than once (``_render``).
+_SHARED = (_render_sequence, _render_record, _RENDERERS[float])
+
+
+@lru_cache(maxsize=256)
+def _renderer(kind: type):
+    """The renderer of the first class of ``kind``'s MRO in ``_RENDERERS``,
+    or of a record if ``kind`` is a dataclass and not a JSON scalar or list."""
+    found = next(_RENDERERS[base] for base in kind.__mro__ if base in _RENDERERS)
+    if is_dataclass(kind) and found in (_render_dict, _RENDERERS[enum.Enum], _refuse):
+        return _render_record
+    return found
+
+
 def _render(value, texts: dict) -> str:
-    """``value`` as canonical JSON.  ``texts`` holds, by id, the text of
-    every dict value rendered so far in the payload, so an object held
-    twice is rendered once; the payload keeps each of them alive, so no
-    id is reused during the render.  Only an exact list or tuple of exact
-    floats (a score or weight row) has its items' types read here;
-    ``_render_table`` takes the typed tuples (a witness list's pairs read
-    ``core._pairs``) and the record tables, and any other list renders
-    item by item."""
-    if value is None:
-        return "null"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _format_floats((float(value),))
-    if isinstance(value, str):
-        return json.dumps(value, ensure_ascii=False)
-    if isinstance(value, (list, tuple)):
-        if type(value) in (list, tuple) and set(map(type, value)) == {float}:
-            return _render_floats(value)
-        return _render_table(value) or "[" + ",".join([_render(item, texts) for item in value]) + "]"
-    if is_dataclass(value):  # a record: its fields, in declaration order
-        value = vars(value)
-    if isinstance(value, dict):
-        parts = []
-        for k, v in value.items():
-            text = texts.get(id(v))
-            if text is None:
-                text = texts[id(v)] = _render(v, texts)
-            parts.append(_render_key(str(k)) + text)
-        return "{" + ",".join(parts) + "}"
-    if isinstance(value, enum.Enum):
-        return _render(value.value, texts)
-    raise TypeError(f"cannot serialize {type(value).__name__} to canonical JSON")
+    """``value`` as canonical JSON, by its type's renderer (an exact table
+    class's without a call).  A list, tuple, record or float held twice (a
+    report's Result 1/2 verdict, its ``S_min^2``) renders once per payload,
+    its text kept in ``texts`` by id while the payload keeps it alive."""
+    render = _RENDERERS.get(type(value)) or _renderer(type(value))
+    if render not in _SHARED:
+        return render(value, texts)
+    text = texts.get(id(value))
+    if text is None:
+        text = texts[id(value)] = render(value, texts)
+    return text
 
 
 def render_json(payload: dict) -> str:
@@ -711,8 +730,8 @@ def _parse_cell(cell: str, row: int, column: int, kind: type) -> int | float:
 _CHUNK_ROWS = 2048
 
 #: Text holding any of these goes to ``csv.reader``, the only tokenizer
-#: that handles them: quoting, carriage-return line ends, and NUL (which
-#: ``csv.reader`` refuses before Python 3.11).
+#: that handles them: quoting, a carriage return that does not end a line
+#: as CRLF, and NUL (which ``csv.reader`` refuses before Python 3.11).
 _READER_ONLY = ('"', "\r", "\0")
 
 #: No cell of a chunk that numpy's reader converts holds any of these: an
@@ -724,9 +743,12 @@ _NOT_FOR_NUMPY = ("_", "\n", *_READER_ONLY)
 
 def _tokenize(text: str) -> tuple[list[str], list[list[str]] | None]:
     """The non-blank lines of CSV text, and None; or, for text holding a
-    quote, a carriage return or NUL, its non-blank ``csv.reader`` rows
-    joined back into comma lines, and the rows.  Split on commas, the
-    lines of any other text are the rows that ``csv.reader`` would give."""
+    quote, NUL or a carriage return outside CRLF line ends, its non-blank
+    ``csv.reader`` rows joined back into comma lines, and the rows.  Split
+    on commas, other text's lines (CRLF as LF) are ``csv.reader``'s rows."""
+    if "\r" in text and '"' not in text:  # as LF text if every carriage return ends a CRLF
+        lf = text.replace("\r", "")
+        text = lf if len(text) - len(lf) == text.count("\r\n") else text
     if not any(c in text for c in _READER_ONLY):
         return [line for line in text.split("\n") if line], None
     try:
@@ -827,9 +849,9 @@ def parse_ensemble_csv(text: str) -> tuple[ObservationSeries, ModelEnsemble]:
     counting the header as row 1 and blank lines not at all; a cell is
     quoted up to its first ``_QUOTE_CHARS`` characters.
 
-    Text that holds a quote, a carriage return or NUL is tokenized by
-    ``csv.reader``, and its rows are joined back into comma lines; any
-    other text is split into its non-blank lines (``_tokenize``).  The
+    Text that holds a quote, NUL or a carriage return outside CRLF line
+    ends is tokenized by ``csv.reader``, its rows joined back into comma
+    lines; other text is split into its non-blank lines (``_tokenize``).  The
     data lines are then converted in chunks of ``_CHUNK_ROWS`` by one of
     two converters.  numpy's C reader (``_load_plain``) converts a chunk
     when none of its cells holds an underscore or, for ``csv.reader``

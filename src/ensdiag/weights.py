@@ -219,6 +219,6 @@ def optimal_weights(
         score=score,
         iterations=iterations,
         converged=gap <= tol * score / scale + floor,
-        active_support=tuple(int(i) for i in np.flatnonzero(w > ACTIVE_SUPPORT_TOL)),
+        active_support=tuple(np.flatnonzero(w > ACTIVE_SUPPORT_TOL).tolist()),
         kkt_gap=gap * scale,
     )

@@ -1,8 +1,10 @@
 """CSV parsing, report building, and deterministic JSON serialization."""
 
 import dataclasses
+import gc
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -259,6 +261,50 @@ CHUNK_CASES = {
 def test_chunked_parse_cases_match_row_by_row_rules(monkeypatch, text):
     monkeypatch.setattr(ensdiag.report, "_CHUNK_ROWS", 3)
     _assert_same_as_reference(text)
+
+
+#: The named cases whose line ends are all LF.
+LF_CASES = {name: text for name, text in CHUNK_CASES.items() if "\r" not in text}
+
+
+def _line_end_copies(text):
+    """``text`` with every line end CRLF, and with LF and CRLF in turn."""
+    lines = text.split("\n")
+    mixed = "".join(line + ("\n", "\r\n")[i % 2] for i, line in enumerate(lines[:-1]))
+    return text.replace("\n", "\r\n"), mixed + lines[-1]
+
+
+@pytest.mark.parametrize("text", LF_CASES.values(), ids=LF_CASES.keys())
+def test_crlf_and_mixed_line_ends_parse_as_lf(monkeypatch, text):
+    monkeypatch.setattr(ensdiag.report, "_CHUNK_ROWS", 3)
+    expected = _outcome(parse_ensemble_csv, text)  # the arrays, or the error's row and column
+    for copy in _line_end_copies(text):
+        assert _outcome(parse_ensemble_csv, copy) == expected
+        _assert_same_as_reference(copy)
+        if '"' not in copy and "\0" not in copy:  # split as LF text, not by csv.reader
+            assert ensdiag.report._tokenize(copy) == ensdiag.report._tokenize(text)
+
+
+def test_crlf_text_parses_within_15_percent_of_lf():
+    rng = np.random.default_rng(3203)
+    values = rng.normal(size=(25_000, 4)).tolist()
+    rows = [f"{t}," + ",".join(map(repr, row)) for t, row in enumerate(values)]
+    lf = _csv("t,Y,a,b,c", *rows)
+    texts = [lf, lf.replace("\n", "\r\n")]
+    for _ in range(3):  # a stall of the shared host may spoil one measurement, not three
+        best = [math.inf, math.inf]
+        gc.disable()
+        try:
+            for _ in range(5):  # alternated, so that both see the same machine
+                for i, text in enumerate(texts):
+                    start = time.process_time()
+                    parse_ensemble_csv(text)
+                    best[i] = min(best[i], time.process_time() - start)
+        finally:
+            gc.enable()
+        if best[1] <= 1.15 * best[0]:
+            return
+    pytest.fail(f"CRLF parse took {best[1]:.4f} s against {best[0]:.4f} s for LF")
 
 
 def _counting_validator(monkeypatch):

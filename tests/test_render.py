@@ -278,6 +278,7 @@ def test_record_lists_render_as_their_fields_item_by_item(records):
         [_One, _One(1.0)],
         [_extra(_One(1.0), **{"%s": 2}), _extra(_One(0.5), **{"%s": 3})],
         [_One(1.0), _extra(_One(0.5), y=True)],  # of two widths: item by item
+        [_extra(_One(1.0), y=True), _extra(_One(0.5), z=False)],  # one width, two key sets
     ],
 )
 def test_one_record_and_record_classes(records):
