@@ -17,7 +17,7 @@ that takes the set reads that one geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -258,21 +258,45 @@ class ResidualSet:
     @cached_property
     def witness_pairs(self) -> tuple[_PairList, _PairList]:
         """The pairs (i, j), i < j, in row-major order, whose correspondence
-        is at most ``s_min_sq``, and those strictly below it: one comparison
-        of the correspondences gathered over ``_pairs``, with and without
-        ties.  With no tie, both are the same tuple.  Each is a
-        ``_PairList`` of the shared tuples of ``_pair_tuples``, which keeps
-        its positions in ``_pairs``, so a report neither re-checks nor
-        re-reads the pairs."""
+        is at most ``s_min_sq``, and those strictly below it, as two
+        ``_PairList``: one comparison of the correspondences gathered over
+        ``_pairs``, with and without ties.  With no tie, both are one tuple."""
         m = self.n_models
         rows, cols = _pairs(m)
         values = self.entries[rows, cols]
-        pairs = _PairList._take(m, np.flatnonzero(values <= self.s_min_sq))
+        pairs = _PairList(m, np.flatnonzero(values <= self.s_min_sq))
         below = np.flatnonzero(values < self.s_min_sq)
-        return pairs, pairs if below.size == len(pairs) else _PairList._take(m, below)
+        return pairs, pairs if below.size == len(pairs) else _PairList(m, below)
 
 
-@lru_cache(maxsize=8)
+#: The per-M tables, by (builder, m): ``_pairs``, ``_pair_tuples`` and
+#: ``report``'s.  They hold at most ``_TABLE_CELLS`` cells in all, m * m
+#: for a table of m members: a new one that would pass the cap empties
+#: them first, and one of more than 512 members is not kept.  The tables
+#: of 200 members and of 3 to 8 fit together.
+_TABLES: dict = {}
+_TABLE_CELLS = 2**18
+
+
+def _per_m(build):
+    """``build(m)``, kept in ``_TABLES`` by the rule stated there.  A table
+    depends on m alone, so threads that miss at once may build one twice,
+    or pass the cap until the next miss, but never read a wrong one."""
+
+    def table(m: int):
+        found = _TABLES.get((build, m))
+        if found is None:
+            found = build(m)
+            if m * m <= _TABLE_CELLS:
+                if sum([key[1] ** 2 for key in list(_TABLES)]) + m * m > _TABLE_CELLS:
+                    _TABLES.clear()
+                _TABLES[build, m] = found
+        return found
+
+    return table
+
+
+@_per_m
 def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
     """The read-only ``(rows, cols)`` of the pairs i < j of m members, in
     row-major order: the one pair index of every test over the pairs."""
@@ -283,7 +307,7 @@ def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-@lru_cache(maxsize=8)
+@_per_m
 def _pair_tuples(m: int) -> np.ndarray:
     """The pairs of ``_pairs(m)`` as int 2-tuples, in a read-only object array."""
     rows, cols = _pairs(m)
@@ -293,30 +317,19 @@ def _pair_tuples(m: int) -> np.ndarray:
 
 
 class _PairList(tuple):
-    """Index pairs (i, j) with ``0 <= i < j < m``, as the shared tuples of
-    ``_pair_tuples(m)``, keeping ``m`` and ``index``, their read-only
-    positions in ``_pairs(m)``, so that neither a report's check nor its
-    render walks them.  Made from index arrays, it checks them once, in
-    numpy.  It compares, hashes, pickles and copies as the plain tuple does."""
+    """The pairs at positions ``index`` of ``_pairs(m)``, as the shared
+    tuples of ``_pair_tuples(m)``, keeping ``m`` and the read-only ``index``
+    for the report's check and render.  It compares and hashes as the plain
+    tuple does, and pickles and copies as that tuple."""
 
-    def __new__(cls, rows, cols, m: int):
-        rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
-        if rows.ndim != 1 or rows.shape != cols.shape:
-            raise ValidationError("pair indices must be two 1-d arrays of one length")
-        if not ((0 <= rows) & (rows < cols) & (cols < m)).all():
-            raise ValidationError(f"not all pairs i < j of {m} models")
-        return cls._take(int(m), rows * (2 * m - rows - 1) // 2 + cols - rows - 1)
-
-    @classmethod
-    def _take(cls, m: int, index: np.ndarray) -> _PairList:
-        """The pairs at positions ``index`` of ``_pairs(m)``, unchecked."""
-        self = tuple.__new__(cls, _pair_tuples(m)[index].tolist())
+    def __new__(cls, m: int, index: np.ndarray):
+        self = super().__new__(cls, _pair_tuples(m)[index].tolist())
         index.setflags(write=False)
         self.index, self.m = index, m
         return self
 
     def __reduce__(self):
-        return _PairList._take, (self.m, self.index)
+        return tuple, (tuple(self),)
 
 
 @dataclass(frozen=True, eq=False)

@@ -169,13 +169,13 @@ def check_result3(rs: ResidualSet, w: WeightVector) -> ResultVerdict:
 
 
 def schwartz_bounds(rs: ResidualSet, w: WeightVector) -> ScoreBounds:
-    """Sharp envelope for the ensemble score.
-
-    The upper bound is the squared weighted sum of the per-model root
-    scores; it is attained exactly when all residual directions agree,
-    so ``upper_tight`` reports whether every off-diagonal correspondence
-    is at least ``(1 - TIGHT_COSINE_TOL) S_m S_m'``.  A zero-residual
-    member has a zero row and root score, so it never spoils tightness.
+    """Envelope for the ensemble score: the lower bound 0, valid but not
+    sharp in general (a sharp one is ROADMAP item 9), and the upper bound,
+    the squared weighted sum of the per-model root scores, attained exactly
+    when all residual directions agree; ``upper_tight`` reports whether
+    every off-diagonal correspondence is at least ``(1 - TIGHT_COSINE_TOL)
+    S_m S_m'``.  A zero-residual member has a zero row and root score, so
+    it never spoils tightness.
     """
     weights = _check_weight_length(rs, w)
     upper = float(weights @ rs.norms) ** 2

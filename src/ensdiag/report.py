@@ -14,10 +14,10 @@ by a key template made once per class, and a float row in one pass (one
 exact numpy conversion to the same digits).  The typed values that
 ``build_report`` makes are neither re-checked nor walked: a symmetric
 matrix (``_SymmetricRows``) formats its upper triangle once and mirrors
-it, and a witness list (``core._PairList``) holds shared tuples from a
-per-M table and renders off its positions in ``core._pairs``.  The
-sweep's records render column by column, and a list, tuple, record or
-float held twice renders once.  Everything else, a parsed report's matrices and
+it, and a witness list (``core._PairList``) renders off its positions in
+a per-M table (``core._per_m``).  The sweep's records render column by
+column, and a list, tuple, record or float held twice renders once.
+Everything else, a parsed, unpickled or copied report's matrices and
 witness lists among it, renders item by item.
 
 The record dataclasses are the report's one schema.  A record renders as
@@ -49,6 +49,7 @@ from .core import (
     WeightVector,
     _PairList,
     _pair_tuples,
+    _per_m,
     cosine_matrix,
     correspondence_matrix,  # unused here; perfbench/worker.py traces it by name
     ensemble_score,
@@ -192,8 +193,7 @@ def build_report(
     (``ResidualSet.witness_pairs``).  The regime tolerances are checked
     even where no regime is classified.
 
-    The weights, matrices and witness lists are typed tuples (see
-    ``__post_init__``, ``_SymmetricRows``, ``core._PairList``), which the
+    The weights, matrices and witness lists are typed tuples, which the
     report's checks and its render read without a walk over every cell.
     """
     _check_tolerances(tol_equal, tol_cos)
@@ -208,8 +208,8 @@ def build_report(
         model_names=ens.model_names,
         weights_used=_SimplexWeights(weights.weights.tolist()),
         per_model_scores=tuple(rs.scores.tolist()),
-        correspondence=_SymmetricRows(rs.entries, symmetric=True),
-        cosines=None if rs.perfect else _SymmetricRows(cosine_matrix(rs), symmetric=True),
+        correspondence=_SymmetricRows(rs.entries),
+        cosines=None if rs.perfect else _SymmetricRows(cosine_matrix(rs)),
         perfect_models=rs.perfect,
         ensemble_score=ensemble_score(rs, weights),
         best_index=rs.best,
@@ -365,9 +365,9 @@ def _float_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cell_texts(values: np.ndarray) -> np.ndarray:
-    """``_float_cells`` of finite values, each row it does not certify
-    filled with that value's ``%.17g`` text, by ``_format_floats``' rules,
-    and each row's last slot holding a comma."""
+    """``_float_cells`` of values, each row it does not certify filled with
+    that value's ``%.17g`` text, by ``_format_floats``' rules (so a value
+    that is not finite raises there), and each row's last slot a comma."""
     cells, certified = _float_cells(values)
     rest = np.flatnonzero(~certified)
     if rest.size:
@@ -387,10 +387,7 @@ def _render_floats(values) -> str:
     ``_VECTOR_CELLS`` values on, by ``_cell_texts``, to the same text."""
     if len(values) < _VECTOR_CELLS:
         return "[" + _format_floats(values) + "]"
-    array = np.array(values, dtype=np.float64)
-    if not np.isfinite(array).all():
-        raise ValidationError(_NON_FINITE)
-    return "[" + _text(_cell_texts(array))[:-1] + "]"
+    return "[" + _text(_cell_texts(np.array(values, dtype=np.float64)))[:-1] + "]"
 
 
 @lru_cache(maxsize=1024)
@@ -399,30 +396,21 @@ def _render_key(key: str) -> str:
 
 
 class _SymmetricRows(tuple):
-    """The rows of a square float64 array that equals its transpose bit
-    for bit (signed zeros included): a tuple of float tuples that keeps, for
-    the renderer, a read-only copy of the array as ``array``, or the array
-    itself if the caller made it ``symmetric`` and holds it no more (a
-    ``ResidualSet``'s), unchecked.  Made from any other array, it is the
-    plain tuple of its rows.  It compares, hashes, pickles and copies as
-    the plain tuple does."""
+    """The float row tuples of a read-only square float64 array that equals
+    its transpose bit for bit (a ``ResidualSet``'s), unchecked, keeping it as
+    ``array`` for the renderer.  It compares and hashes as the plain tuple
+    does, and pickles and copies as that tuple."""
 
-    def __new__(cls, array, symmetric: bool = False):
-        arr = np.asarray(array) if symmetric else np.array(array)  # a copy no caller can change
-        rows = tuple(map(tuple, arr.tolist()))
-        square = arr.ndim == 2 and arr.shape[0] == arr.shape[1] and arr.dtype == np.float64
-        if not (symmetric or square and np.array_equal(arr.view(np.int64), arr.T.view(np.int64))):
-            return rows
-        arr.setflags(write=False)
-        self = super().__new__(cls, rows)
-        self.array = arr
+    def __new__(cls, array: np.ndarray):
+        self = super().__new__(cls, map(tuple, array.tolist()))
+        self.array = array
         return self
 
     def __reduce__(self):
-        return _SymmetricRows, (self.array,)
+        return tuple, (tuple(self),)
 
 
-@lru_cache(maxsize=8)
+@_per_m
 def _triangle(m: int) -> tuple[np.ndarray, np.ndarray]:
     """The flat row-major indices of the upper triangle of an m×m matrix,
     diagonal included, and for each cell (i, j), in row-major order, the
@@ -433,7 +421,7 @@ def _triangle(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(upper), (position + np.triu(position, 1).T).ravel()
 
 
-@lru_cache(maxsize=8)
+@_per_m
 def _grid(m: int) -> tuple[str, itemgetter]:
     """The template of an m×m JSON matrix, and the getter of its cells' upper-triangle texts."""
     mirror = _triangle(m)[1].tolist()
@@ -449,8 +437,6 @@ def _render_symmetric(matrix: _SymmetricRows) -> str:
     if values.size < _VECTOR_CELLS:
         template, cells = _grid(m)
         return template % cells(_format_floats(values.tolist()).split(","))
-    if not np.isfinite(values).all():
-        raise ValidationError(_NON_FINITE)
     rows = np.empty((m, m * _CELL + 2), dtype=np.uint8)
     rows[:, 0] = ord("[")
     rows[:, 1:-1] = _cell_texts(values).take(mirror, axis=0).reshape(m, m * _CELL)
@@ -459,15 +445,10 @@ def _render_symmetric(matrix: _SymmetricRows) -> str:
     return "[" + _text(rows) + "]"
 
 
-@lru_cache(maxsize=8)
+@_per_m
 def _pair_texts(m: int) -> np.ndarray:
     """``"[i,j]"`` for each pair of ``core._pair_tuples(m)``, in its order."""
     return np.array(["[%d,%d]" % pair for pair in _pair_tuples(m).tolist()], dtype=object)
-
-
-def _render_pairs(pairs: _PairList) -> str:
-    """Index pairs off their positions, with no pass over the pairs."""
-    return "[" + ",".join(_pair_texts(pairs.m)[pairs.index].tolist()) + "]"
 
 
 def _render_table(values) -> str | None:
@@ -476,17 +457,17 @@ def _render_table(values) -> str | None:
     exact floats, ints or bools; else None, to render item by item."""
     if type(values) is _SymmetricRows:
         return _render_symmetric(values)
-    if type(values) is _PairList:
-        return _render_pairs(values)
+    if type(values) is _PairList:  # off its positions, with no pass over the pairs
+        return "[" + ",".join(_pair_texts(values.m)[values.index].tolist()) + "]"
     kind = type(values[0]) if values else None
     if not is_dataclass(kind) or set(map(type, values)) != {kind}:
         return None
     names, template = _record_plan(kind)
-    rows = [vars(value).values() for value in values]
-    width = len(names)
-    if set(map(len, rows)) != {width}:  # else some record has attributes beyond its fields
+    attributes = [vars(value) for value in values]
+    if set(map(tuple, attributes)) != {names}:  # else some record's attributes are not its fields
         return None
-    cells = list(chain.from_iterable(rows))  # row-major: column j is cells[j::width]
+    width = len(names)
+    cells = list(chain.from_iterable(map(dict.values, attributes)))  # column j: cells[j::width]
     columns = [cells[j::width] for j in range(width)]
     kinds = [set(map(type, column)) for column in columns]
     if not all(types in ({float}, {int}, {bool}) for types in kinds):

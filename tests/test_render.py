@@ -223,6 +223,14 @@ def _extra(record, **attributes):
     return record
 
 
+def _renamed(record):
+    """A ``_One`` whose field ``x`` is deleted and whose attribute ``y`` is
+    set: as many attributes as fields, under another name."""
+    del record.x
+    record.y = 2.0
+    return record
+
+
 #: Field values of the exact types that render column by column.
 exact_cells = [
     st.sampled_from(INTEGRAL + [float("nan"), float("inf"), -float("inf")]),
@@ -279,6 +287,8 @@ def test_record_lists_render_as_their_fields_item_by_item(records):
         [_extra(_One(1.0), **{"%s": 2}), _extra(_One(0.5), **{"%s": 3})],
         [_One(1.0), _extra(_One(0.5), y=True)],  # of two widths: item by item
         [_extra(_One(1.0), y=True), _extra(_One(0.5), z=False)],  # one width, two key sets
+        [_renamed(_One(1.0)), _renamed(_One(1.0))],  # one width, not the fields' names
+        [_One(0.5), _renamed(_One(1.0))],  # the first record's names are its fields'
     ],
 )
 def test_one_record_and_record_classes(records):

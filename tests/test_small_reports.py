@@ -1,10 +1,15 @@
 """Small reports, built and rendered without re-validation: their bytes
 against the item-by-item reference renderer, the dispatch of ``_render``
 over every class in its table, and the witness pairs gathered from the
-per-M table of shared tuples."""
+per-M table of shared tuples, under the one cap on the per-M tables."""
 
 import dataclasses
 import enum
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,7 +122,7 @@ def test_every_renderer_renders_as_the_reference():
 
 def test_witness_pairs_are_the_shared_tuples_of_the_reference():
     rng = np.random.default_rng(2523)
-    sizes = [*range(1, 14), 2, 5, 13]  # 13 distinct sizes, then sizes evicted from the tables
+    sizes = [*range(1, 14), 2, 5, 13]  # 13 distinct sizes, then sizes already tabled
     for m in sizes:
         z = rng.uniform(-0.5, 1.5, (m, 1)) * rng.normal(size=30) + rng.normal(size=(m, 30))
         rs = ResidualSet(z)
@@ -125,6 +130,7 @@ def test_witness_pairs_are_the_shared_tuples_of_the_reference():
         expected = witnesses_reference(rs)
         assert (at_most, below) == (expected[0], expected[2])
         table = core._pair_tuples(m)
+        assert core._pair_tuples(m) is table  # tabled
         for pairs in (at_most, below):
             assert type(pairs) is core._PairList and pairs.m == m
             assert all(type(i) is int and type(j) is int for i, j in pairs)
@@ -132,7 +138,82 @@ def test_witness_pairs_are_the_shared_tuples_of_the_reference():
         if table.size:
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = (0, 0)
-    assert core._pair_tuples.cache_info().currsize == 8
+    assert sum(m * m for _, m in core._TABLES) <= core._TABLE_CELLS
+
+
+def test_the_per_m_tables_empty_when_full_and_keep_no_table_past_the_cap():
+    made = []
+
+    def build(m):
+        made.append(m)
+        return [m]
+
+    table = core._per_m(build)
+    side = int(core._TABLE_CELLS**0.5)  # 512: the largest size kept
+    try:
+        first = table(side // 2)
+        assert table(side // 2) is first and made == [side // 2]  # kept
+        assert table(side + 1) is not table(side + 1)  # past the cap: built at each call
+        assert table(side // 2) is first  # and nothing was dropped for it
+        table(side)  # fills the cap alone: the tables are emptied first
+        assert list(core._TABLES) == [(build, side)]
+        assert table(side // 2) is not first
+        assert sum(m * m for _, m in core._TABLES) <= core._TABLE_CELLS
+    finally:
+        for key in [key for key in core._TABLES if key[0] is build]:
+            del core._TABLES[key]
+
+
+#: Run in a fresh interpreter, so that no other test's sizes are in the
+#: tables: one report of 1,000 members, then the sizes of a lib round of
+#: the benchmark (200, 3 to 8) twice.  The members' errors are multiples
+#: of one error, at least the best's, plus a little noise, so that few
+#: pairs are witnesses and the report stays small; every table of the
+#: size is made all the same.
+_TABLES_SCRIPT = """
+import gc, json, tracemalloc
+import numpy as np
+from ensdiag import ModelEnsemble, ObservationSeries, build_report, emit_report
+from ensdiag import anti_correlated_subset, residuals, uniform_weights
+from ensdiag import core
+
+def one_report(m, t):
+    rng = np.random.default_rng(m)
+    truth = rng.normal(size=t)
+    errors = rng.uniform(1.0, 2.0, (m, 1)) * rng.normal(size=t) + 0.01 * rng.normal(size=(m, t))
+    obs = ObservationSeries(np.arange(t), truth)
+    ens = ModelEnsemble(tuple(f"m{i}" for i in range(m)), truth + errors)
+    emit_report(build_report(obs, ens, uniform_weights(m)))
+    anti_correlated_subset(residuals(ens, obs), 3)
+
+tracemalloc.start()
+one_report(1000, 60)
+gc.collect()
+held = tracemalloc.get_traced_memory()[0]
+core._TABLES.clear()
+gc.collect()
+held -= tracemalloc.get_traced_memory()[0]
+tracemalloc.stop()
+rounds = []
+for _ in range(2):
+    for m in (200, *range(3, 9)):
+        one_report(m, 60)
+    rounds.append({repr(key): id(table) for key, table in core._TABLES.items()})
+print(json.dumps({"held": held, "rounds": rounds}))
+"""
+
+
+def test_the_per_m_tables_keep_no_large_table_and_the_lib_sizes():
+    src = str(Path(core.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _TABLES_SCRIPT],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    result = json.loads(proc.stdout)
+    assert result["held"] <= 5_000_000  # bytes, after one report of 1,000 members
+    first, second = result["rounds"]
+    assert len(first) == 4 + 5 * 6  # _grid is not made for 200 members
+    assert second == first  # the same tables: the second round built none
 
 
 def test_a_built_reports_weights_are_not_checked_again_but_replaced_ones_are():

@@ -1,7 +1,8 @@
 """The report's typed values: symmetric matrices and pair lists that keep
 the arrays they came from, against plain tuples and the item-by-item
-renderer; and the residual arrays that ``residuals`` and ``model_score``
-hand over uncopied."""
+renderer, and the plain tuples that pickling and copying give; and the
+residual arrays that ``residuals`` and ``model_score`` hand over
+uncopied."""
 
 import copy
 import dataclasses
@@ -106,31 +107,21 @@ def test_non_finite_typed_cell_raises_the_plain_error(m, bad):
     assert str(typed.value) == str(plain.value)
 
 
-@pytest.mark.parametrize(
-    "arr",
-    [
-        np.array([[1.0, 0.0], [-0.0, 1.0]]),  # equal zeros of both signs, mirrored
-        np.array([[1.0, 0.25], [0.5, 1.0]]),
-        np.array([[1.0, 0.5, 0.25], [0.5, 1.0, 0.75]]),  # not square
-        np.array([[1, 2], [2, 1]]),  # ints
-        np.array([[1.0, 2.0], [2.0, 1.0]], dtype=np.float32),
-    ],
-)
-def test_an_array_that_is_not_symmetric_float64_gives_plain_rows(arr):
-    rows = _SymmetricRows(arr)
-    assert type(rows) is tuple and rows == _plain(arr.tolist())
-    assert render_json({"m": rows}) == _reference({"m": rows})
-
-
 def test_the_kept_array_is_a_read_only_copy():
-    arr = np.array([[1.0, 0.5], [0.5, 2.0]])
-    rows = _SymmetricRows(arr)
-    arr[0, 1] = arr[1, 0] = 9.0
-    assert rows == ((1.0, 0.5), (0.5, 2.0)) and rows.array[0, 1] == 0.5
-    assert not rows.array.flags.writeable and arr.flags.writeable
-    rs = ResidualSet([[1.0, 2.0], [3.0, -1.0]])
-    kept = _SymmetricRows(rs.entries).array
-    assert kept is not rs.entries and kept.tobytes() == rs.entries.tobytes()
+    """A report keeps its residual set's read-only arrays, made from a copy
+    of the caller's outputs, so a change to those outputs reaches neither
+    the rows nor the arrays."""
+    outputs = np.array([[1.0, 2.0, 0.5], [3.0, -1.0, 2.0], [0.5, 0.5, -2.0]])
+    obs = ObservationSeries(np.arange(3), [0.25, 0.5, -0.5])
+    ens = ModelEnsemble(("a", "b", "c"), outputs)
+    rs = residuals(ens, obs)
+    built = build_report(obs, ens, uniform_weights(3))
+    text = emit_report(built)
+    outputs[:] = 9.0
+    for rows, arr in ((built.correspondence, rs.entries), (built.cosines, rs.cosines)):
+        assert not rows.array.flags.writeable
+        assert rows.array.tobytes() == arr.tobytes() and rows == _plain(arr.tolist())
+    assert emit_report(built) == text
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +130,17 @@ def test_the_kept_array_is_a_read_only_copy():
 
 
 def _pairs(m, n, seed):
-    """``n`` pairs i < j of ``m`` models, in row-major order."""
-    rows, cols = np.triu_indices(m, 1)
-    keep = np.sort(np.random.default_rng(seed).choice(rows.size, n, replace=False))
-    return _PairList(rows[keep], cols[keep], m)
+    """``n`` pairs i < j of ``m`` models, in row-major order: positions in
+    ``np.triu_indices(m, 1)``, which lists the pairs in that order."""
+    keep = np.random.default_rng(seed).choice(m * (m - 1) // 2, n, replace=False)
+    return _PairList(m, np.sort(keep))
+
+
+def _pair_list(m, pairs):
+    """The ``_PairList`` of the pairs i < j of ``m`` models given, at their
+    row-major positions."""
+    positions = [i * (2 * m - i - 1) // 2 + j - i - 1 for i, j in pairs]
+    return _PairList(m, np.array(positions, dtype=np.intp))
 
 
 @pytest.mark.parametrize(
@@ -162,13 +160,12 @@ def test_typed_pair_list_renders_as_its_pairs(m, n):
     assert render_json({"w": pairs}) == _reference({"w": tuple(pairs)})
 
 
-@pytest.mark.parametrize(
-    "rows, cols, m",
-    [([0], [0], 3), ([1], [0], 3), ([0], [3], 3), ([-1], [1], 3), ([0, 1], [2], 3)],
-)
-def test_a_pair_list_refuses_pairs_out_of_order_or_range(rows, cols, m):
-    with pytest.raises(ValidationError):
-        _PairList(rows, cols, m)
+@pytest.mark.parametrize("m", [2, 3, 5, 40, 200])
+def test_a_pair_list_holds_the_pairs_at_its_positions(m):
+    rows, cols = np.triu_indices(m, 1)
+    every = tuple(zip(rows.tolist(), cols.tolist()))
+    assert _PairList(m, np.arange(len(every))) == every
+    assert _pair_list(m, every[1::3]) == every[1::3]
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +176,15 @@ def test_a_pair_list_refuses_pairs_out_of_order_or_range(rows, cols, m):
 def test_typed_values_compare_and_hash_like_plain_tuples():
     arr = np.array([[2.0, -0.5, 0.0], [-0.5, 1.0, 0.25], [0.0, 0.25, 3.0]])
     rows, plain_rows = _SymmetricRows(arr), _plain(arr.tolist())
-    pairs, plain_pairs = _PairList([0, 0, 1], [1, 2, 2], 3), ((0, 1), (0, 2), (1, 2))
+    pairs, plain_pairs = _PairList(3, np.arange(3)), ((0, 1), (0, 2), (1, 2))
     for typed, plain in [(rows, plain_rows), (pairs, plain_pairs)]:
         assert isinstance(typed, tuple)
         assert typed == plain and plain == typed and not typed != plain
         assert hash(typed) == hash(plain)
         assert {typed: 1}[plain] == 1
         assert tuple(typed) == plain and len(typed) == len(plain)
-    assert _PairList([], [], 4) == () and hash(_PairList([], [], 4)) == hash(())
+    none = _PairList(4, np.arange(0))
+    assert none == () and hash(none) == hash(())
 
 
 def _wide_report(seed=811, m=30):
@@ -202,6 +200,7 @@ def test_a_report_holds_typed_values():
     built = _wide_report()
     assert type(built.correspondence) is _SymmetricRows
     assert type(built.cosines) is _SymmetricRows
+    assert not built.correspondence.array.flags.writeable
     assert type(built.result1.witnesses) is _PairList and built.result1.witnesses
     assert built.result1.witnesses.m == len(built.model_names)
 
@@ -230,15 +229,22 @@ def test_a_duplicated_report_is_equal_and_renders_the_same_bytes(duplicate):
     assert len(built.result1.witnesses) >= 19_000
 
 
-def test_pickle_and_deepcopy_keep_the_typed_values_and_their_sharing():
+@pytest.mark.parametrize(
+    "duplicate",
+    [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy],
+    ids=["pickle", "deepcopy"],
+)
+def test_pickle_and_deepcopy_give_plain_tuples_and_keep_their_sharing(duplicate):
     built = _wide_report()
-    for again in (pickle.loads(pickle.dumps(built)), copy.deepcopy(built)):
-        assert type(again.correspondence) is _SymmetricRows
-        assert type(again.result1.witnesses) is _PairList
-        assert again.result2 is again.result1
-        assert (again.result3.witnesses is again.result1.witnesses) == (
-            built.result3.witnesses is built.result1.witnesses
-        )
+    again = duplicate(built)
+    assert type(again.correspondence) is tuple and type(again.cosines) is tuple
+    for verdict in (again.result1, again.result2, again.result3):
+        assert type(verdict.witnesses) is tuple
+    assert again == built and emit_report(again) == emit_report(built)
+    assert again.result2 is again.result1
+    assert (again.result3.witnesses is again.result1.witnesses) == (
+        built.result3.witnesses is built.result1.witnesses
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +269,8 @@ def test_a_report_refuses_a_plain_pair_out_of_range():
 def test_a_report_walks_a_pair_list_made_for_another_m():
     built = _wide_report(m=4)
     with pytest.raises(ValidationError, match=r"report\.result1\.witnesses"):
-        _with_witnesses(built, _PairList([0, 2], [1, 4], 5))
-    within = _with_witnesses(built, _PairList([0], [3], 5))  # in range: the walk passes it
+        _with_witnesses(built, _pair_list(5, [(0, 1), (2, 4)]))
+    within = _with_witnesses(built, _pair_list(5, [(0, 3)]))  # in range: the walk passes it
     assert within.result1.witnesses == ((0, 3),)
 
 
