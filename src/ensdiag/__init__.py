@@ -10,11 +10,12 @@ The public API is ``__version__`` and the union of the modules'
 ``__all__`` lists, each name listed once, in the module that defines it.
 """
 
-from . import core, diagnostics, errors, evaluation, report, selection, weights
+from . import core, diagnostics, errors, evaluation, ingest, report, selection, weights
 from .core import *
 from .diagnostics import *
 from .errors import *
 from .evaluation import *
+from .ingest import *
 from .report import *
 from .selection import *
 from .weights import *
@@ -27,5 +28,6 @@ __all__ += diagnostics.__all__
 __all__ += errors.__all__
 __all__ += evaluation.__all__
 __all__ += report.__all__
+__all__ += ingest.__all__
 __all__ += selection.__all__
 __all__ += weights.__all__

@@ -17,11 +17,11 @@ from .core import WeightVector, residuals
 from .diagnostics import DEFAULT_TOL_COS, DEFAULT_TOL_EQUAL
 from .errors import EnsdiagError, ValidationError
 from .evaluation import calibrate_then_validate, sweep_best_model
+from .ingest import parse_ensemble_csv
 from .report import (
     SCHEMA_VERSION,
     build_report,
     emit_report,
-    parse_ensemble_csv,
     render_json,
     report_to_dict,
 )

@@ -279,14 +279,18 @@ _TABLE_CELLS = 2**18
 
 
 def _per_m(build):
-    """``build(m)``, kept in ``_TABLES`` by the rule stated there.  A table
-    depends on m alone, so threads that miss at once may build one twice,
-    or pass the cap until the next miss, but never read a wrong one."""
+    """``build(m)``, each array of it read-only, kept in ``_TABLES`` by the
+    rule stated there.  A table depends on m alone, so threads that miss at
+    once may build one twice, or pass the cap until the next miss, but
+    never read a wrong one."""
 
     def table(m: int):
         found = _TABLES.get((build, m))
         if found is None:
             found = build(m)
+            for part in found if type(found) is tuple else (found,):
+                if type(part) is np.ndarray:
+                    part.setflags(write=False)
             if m * m <= _TABLE_CELLS:
                 if sum([key[1] ** 2 for key in list(_TABLES)]) + m * m > _TABLE_CELLS:
                     _TABLES.clear()
@@ -301,26 +305,22 @@ def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
     """The read-only ``(rows, cols)`` of the pairs i < j of m members, in
     row-major order: the one pair index of every test over the pairs."""
     index = np.arange(m)
-    rows, cols = np.nonzero(index[:, None] < index)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
+    return np.nonzero(index[:, None] < index)
 
 
 @_per_m
 def _pair_tuples(m: int) -> np.ndarray:
     """The pairs of ``_pairs(m)`` as int 2-tuples, in a read-only object array."""
     rows, cols = _pairs(m)
-    table = np.fromiter(zip(rows.tolist(), cols.tolist()), dtype=object, count=rows.size)
-    table.setflags(write=False)
-    return table
+    return np.fromiter(zip(rows.tolist(), cols.tolist()), dtype=object, count=rows.size)
 
 
 class _PairList(tuple):
     """The pairs at positions ``index`` of ``_pairs(m)``, as the shared
     tuples of ``_pair_tuples(m)``, keeping ``m`` and the read-only ``index``
-    for the report's check and render.  It compares and hashes as the plain
-    tuple does, and pickles and copies as that tuple."""
+    for the report's check and render (which keeps its ``text``).  It
+    compares and hashes as the plain tuple does, and pickles and copies as
+    that tuple."""
 
     def __new__(cls, m: int, index: np.ndarray):
         self = super().__new__(cls, _pair_tuples(m)[index].tolist())

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the quoting of a bad cell in their messages."""
 
 from __future__ import annotations
 
@@ -57,3 +57,15 @@ class CsvParseError(CsvFormatError):
         self.row = int(row)
         self.column = int(column)
         super().__init__(f"row {row}, column {column}: {message}")
+
+
+#: Error messages quote at most this many characters of an offending cell.
+_QUOTE_CHARS = 40
+
+
+def _quote(cell: str) -> str:
+    """``repr`` of a cell, cut after ``_QUOTE_CHARS`` characters and then
+    followed by its length, so that one bad cell gives one short line."""
+    if len(cell) <= _QUOTE_CHARS:
+        return repr(cell)
+    return f"{cell[:_QUOTE_CHARS] + '…'!r} ({len(cell)} characters)"

@@ -1,8 +1,4 @@
-"""CSV ingestion, the diagnostics report model, and deterministic JSON output.
-
-CSV ingest has two converters: numpy's C reader for each chunk of rows,
-and the strict row rules for a chunk that it refuses, which raise the
-error that checking every row in turn would.
+"""The diagnostics report model and its deterministic JSON output.
 
 Reports are emitted as canonical JSON: fixed key order, floats with 17
 significant digits (which round-trips float64 exactly), matrices as
@@ -15,10 +11,10 @@ exact numpy conversion to the same digits).  The typed values that
 ``build_report`` makes are neither re-checked nor walked: a symmetric
 matrix (``_SymmetricRows``) formats its upper triangle once and mirrors
 it, and a witness list (``core._PairList``) renders off its positions in
-a per-M table (``core._per_m``).  The sweep's records render column by
-column, and a list, tuple, record or float held twice renders once.
-Everything else, a parsed, unpickled or copied report's matrices and
-witness lists among it, renders item by item.
+a per-M table (``core._per_m``), once, and keeps its text.  The sweep's
+records render column by column.  Everything else, a parsed, unpickled
+or copied report's matrices and witness lists among it, renders item by
+item.
 
 The record dataclasses are the report's one schema.  A record renders as
 its fields in declaration order and an Enum as its value; ``parse_report``
@@ -28,11 +24,8 @@ must have the JSON type that ``emit_report`` writes for it.
 
 from __future__ import annotations
 
-import csv
 import enum
-import io
 import json
-import math
 from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
 from itertools import chain
@@ -69,7 +62,7 @@ from .diagnostics import (
     classify_regime,
     schwartz_bounds,
 )
-from .errors import CsvFormatError, CsvParseError, ValidationError
+from .errors import ValidationError, _quote
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -79,8 +72,6 @@ __all__ = [
     "emit_report",
     "parse_report",
     "render_json",
-    "parse_ensemble_csv",
-    "format_ensemble_csv",
 ]
 
 SCHEMA_VERSION = "1"
@@ -457,8 +448,10 @@ def _render_table(values) -> str | None:
     exact floats, ints or bools; else None, to render item by item."""
     if type(values) is _SymmetricRows:
         return _render_symmetric(values)
-    if type(values) is _PairList:  # off its positions, with no pass over the pairs
-        return "[" + ",".join(_pair_texts(values.m)[values.index].tolist()) + "]"
+    if type(values) is _PairList:  # off its positions, once: a report holds it up to 3 times
+        if not hasattr(values, "text"):
+            values.text = "[" + ",".join(_pair_texts(values.m)[values.index].tolist()) + "]"
+        return values.text
     kind = type(values[0]) if values else None
     if not is_dataclass(kind) or set(map(type, values)) != {kind}:
         return None
@@ -481,15 +474,15 @@ def _render_table(values) -> str | None:
     return "[" + ",".join([template] * len(values)) % tuple(cells) + "]"
 
 
-def _render_sequence(value, texts: dict) -> str:
+def _render_sequence(value) -> str:
     """In one pass if all items are exact floats, else by ``_render_table``, else item by item."""
     if type(value) is not _PairList and set(map(type, value)) == {float}:  # a score or weight row
         return _render_floats(value)
-    return _render_table(value) or "[" + ",".join([_render(item, texts) for item in value]) + "]"
+    return _render_table(value) or "[" + ",".join([_render(item) for item in value]) + "]"
 
 
-def _render_dict(value: dict, texts: dict) -> str:
-    return "{" + ",".join([_render_key(str(k)) + _render(v, texts) for k, v in value.items()]) + "}"
+def _render_dict(value: dict) -> str:
+    return "{" + ",".join([_render_key(str(k)) + _render(v) for k, v in value.items()]) + "}"
 
 
 @lru_cache(maxsize=256)
@@ -499,34 +492,32 @@ def _record_plan(kind: type) -> tuple[tuple[str, ...], str]:
     return names, "{" + ",".join([_render_key(n).replace("%", "%%") + "%s" for n in names]) + "}"
 
 
-def _render_record(value, texts: dict) -> str:
+def _render_record(value) -> str:
     """A record by its class's plan, or as its attributes' dict if they are not its fields."""
     names, template = _record_plan(type(value))
     attributes = vars(value)
     if tuple(attributes) != names:
-        return _render_dict(attributes, texts)
-    return template % tuple([_render(item, texts) for item in attributes.values()])
+        return _render_dict(attributes)
+    return template % tuple([_render(item) for item in attributes.values()])
 
 
-def _refuse(value, texts: dict) -> str:
+def _refuse(value) -> str:
     shown = vars(value) if is_dataclass(value) else value  # a dataclass's class: its namespace
     raise TypeError(f"cannot serialize {type(shown).__name__} to canonical JSON")
 
 
 #: The renderer of the instances of each class and its subclasses.
 _RENDERERS = {
-    type(None): lambda value, texts: "null",
-    **dict.fromkeys((bool, np.bool_), lambda value, texts: "true" if value else "false"),
-    **dict.fromkeys((int, np.integer), lambda value, texts: str(int(value))),
-    **dict.fromkeys((float, np.floating), lambda value, texts: _format_floats((float(value),))),
-    str: lambda value, texts: encode_basestring(value),
+    type(None): lambda value: "null",
+    **dict.fromkeys((bool, np.bool_), lambda value: "true" if value else "false"),
+    **dict.fromkeys((int, np.integer), lambda value: str(int(value))),
+    **dict.fromkeys((float, np.floating), lambda value: _format_floats((float(value),))),
+    str: encode_basestring,
     **dict.fromkeys((list, tuple), _render_sequence),
     dict: _render_dict,
-    enum.Enum: lambda value, texts: _render(value.value, texts),
+    enum.Enum: lambda value: _render(value.value),
     object: _refuse,
 }
-#: The renderers whose values a payload may hold more than once (``_render``).
-_SHARED = (_render_sequence, _render_record, _RENDERERS[float])
 
 
 @lru_cache(maxsize=256)
@@ -539,18 +530,10 @@ def _renderer(kind: type):
     return found
 
 
-def _render(value, texts: dict) -> str:
+def _render(value) -> str:
     """``value`` as canonical JSON, by its type's renderer (an exact table
-    class's without a call).  A list, tuple, record or float held twice (a
-    report's Result 1/2 verdict, its ``S_min^2``) renders once per payload,
-    its text kept in ``texts`` by id while the payload keeps it alive."""
-    render = _RENDERERS.get(type(value)) or _renderer(type(value))
-    if render not in _SHARED:
-        return render(value, texts)
-    text = texts.get(id(value))
-    if text is None:
-        text = texts[id(value)] = render(value, texts)
-    return text
+    class's without a call)."""
+    return (_RENDERERS.get(type(value)) or _renderer(type(value)))(value)
 
 
 def render_json(payload: dict) -> str:
@@ -560,7 +543,7 @@ def render_json(payload: dict) -> str:
     and no whitespace is inserted, so equal payloads yield byte-equal
     text.
     """
-    return _render(payload, {}) + "\n"
+    return _render(payload) + "\n"
 
 
 #: The report fields that JSON nests, each with its object and its key
@@ -667,243 +650,3 @@ def parse_report(text: str) -> DiagnosticsReport:
         except (KeyError, TypeError):  # TypeError: the group is not an object
             raise _malformed(f"{group}.{key}", "missing") from None
     return _decode(DiagnosticsReport, flat, "report")
-
-
-# --------------------------------------------------------------------------
-# CSV ingestion
-# --------------------------------------------------------------------------
-
-
-#: Error messages quote at most this many characters of an offending cell.
-_QUOTE_CHARS = 40
-
-
-def _quote(cell: str) -> str:
-    """``repr`` of a cell, cut after ``_QUOTE_CHARS`` characters and then
-    followed by its length, so that one bad cell gives one short line."""
-    if len(cell) <= _QUOTE_CHARS:
-        return repr(cell)
-    return f"{cell[:_QUOTE_CHARS] + '…'!r} ({len(cell)} characters)"
-
-
-def _parse_cell(cell: str, row: int, column: int, kind: type) -> int | float:
-    """A time (``kind`` is int) within int64, or a value (``kind`` is
-    float) that is finite, by the strict rules, which raise the cell's error."""
-    text = cell.strip()
-    if not text:
-        raise CsvParseError(row, column, "empty cell")
-    what = "integer" if kind is int else "number"
-    try:
-        if "_" in text:  # int and float accept it; the format does not
-            raise ValueError
-        value = kind(text)
-    except ValueError:
-        raise CsvParseError(row, column, f"invalid {what} {_quote(cell)}") from None
-    if kind is int and not -(2**63) <= value < 2**63:
-        raise CsvParseError(row, column, f"integer {_quote(cell)} is out of the int64 range")
-    if kind is float and not math.isfinite(value):
-        raise CsvParseError(row, column, f"non-finite value {_quote(cell)}")
-    return value
-
-
-#: Data rows per chunk.  A chunk that numpy's reader refuses is converted
-#: row by row, so an error costs at most this many strict rows.
-_CHUNK_ROWS = 2048
-
-#: Text holding any of these goes to ``csv.reader``, the only tokenizer
-#: that handles them: quoting, a carriage return that does not end a line
-#: as CRLF, and NUL (which ``csv.reader`` refuses before Python 3.11).
-_READER_ONLY = ('"', "\r", "\0")
-
-#: No cell of a chunk that numpy's reader converts holds any of these: an
-#: underscore, which ``int`` and ``float`` accept and the format does not,
-#: or what a comma line joined from ``csv.reader`` cells would not carry
-#: to it as it is.
-_NOT_FOR_NUMPY = ("_", "\n", *_READER_ONLY)
-
-
-def _tokenize(text: str) -> tuple[list[str], list[list[str]] | None]:
-    """The non-blank lines of CSV text, and None; or, for text holding a
-    quote, NUL or a carriage return outside CRLF line ends, its non-blank
-    ``csv.reader`` rows joined back into comma lines, and the rows.  Split
-    on commas, other text's lines (CRLF as LF) are ``csv.reader``'s rows."""
-    if "\r" in text and '"' not in text:  # as LF text if every carriage return ends a CRLF
-        lf = text.replace("\r", "")
-        text = lf if len(text) - len(lf) == text.count("\r\n") else text
-    if not any(c in text for c in _READER_ONLY):
-        return [line for line in text.split("\n") if line], None
-    try:
-        rows = [row for row in csv.reader(io.StringIO(text)) if row]
-    except csv.Error as exc:
-        raise CsvFormatError(f"malformed CSV: {exc}") from None
-    return list(map(",".join, rows)), rows
-
-
-def _numpy_may_read(lines: list[str], rows: list[list[str]] | None) -> bool:
-    """Whether no cell of a chunk holds what ``_NOT_FOR_NUMPY`` names and,
-    for ``csv.reader`` rows, whether their comma ``lines`` keep every cell
-    apart: a quoted comma would split one cell in two."""
-    block = ",".join(lines)
-    if rows is not None and block.count(",") != sum(map(len, rows)) - 1:
-        return False
-    return not any(c in block for c in _NOT_FOR_NUMPY)
-
-
-def _load_plain(lines: list[str], width: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Times and values of a chunk of comma lines without an underscore, by
-    numpy's C reader, or None if it refuses them or a check fails.
-
-    The reader strips the same whitespace as ``str.strip`` and converts with
-    the ``PyOS_string_to_double`` that ``float`` calls, but refuses non-ASCII
-    digits, so a value it accepts is what ``_parse_cell`` gives.  Its shape
-    must be exactly one row of ``width`` cells per line, which catches ragged
-    rows, trailing commas and any line it skipped.  The times are read again
-    with ``int``; one padded with ``"\\x1c"`` to ``"\\x1f"``, which ``int``
-    refuses and ``_parse_cell`` strips, is left to the strict rules.
-    """
-    try:
-        table = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-        times = np.array([int(line.partition(",")[0]) for line in lines], dtype=np.int64)
-    except (ValueError, OverflowError):  # OverflowError: outside int64
-        return None
-    if table.shape != (len(lines), width) or not np.isfinite(table).all():
-        return None
-    return times, table[:, 1:]
-
-
-def _add_time(seen: set[int], t: int, row: int) -> None:
-    """Add row ``row``'s time to ``seen``, the times of the rows before it;
-    raise if one of them already has it."""
-    if t in seen:
-        raise CsvFormatError(f"duplicate time {t} at row {row}")
-    seen.add(t)
-
-
-def _convert_row(
-    row: list[str], offset: int, width: int, seen: set[int]
-) -> tuple[int, list[float]]:
-    """The time and values of data row ``offset`` by the strict rules, which
-    raise its first error; its time joins ``seen``."""
-    if len(row) != width:
-        raise CsvParseError(
-            offset,
-            len(row) + 1 if len(row) < width else width + 1,
-            f"expected {width} fields, got {len(row)}",
-        )
-    t = _parse_cell(row[0], offset, 1, int)
-    _add_time(seen, t, offset)
-    values = [_parse_cell(cell, offset, column, float) for column, cell in enumerate(row[1:], 2)]
-    return t, values
-
-
-def _time_order(times: np.ndarray) -> np.ndarray:
-    """Stable sorting order of the times of data rows 2, 3, ...; raise at
-    the first row whose time an earlier row already has."""
-    order = np.argsort(times, kind="stable")
-    ordered = times[order]
-    repeats = order[1:][ordered[1:] == ordered[:-1]]
-    if repeats.size:
-        first = int(repeats.min())
-        raise CsvFormatError(f"duplicate time {int(times[first])} at row {first + 2}")
-    return order
-
-
-def _convert_rows(
-    rows: list[list[str]], first: int, width: int, seen: set[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Times and values of the data rows from row ``first`` on by the strict
-    rules; ``seen`` holds the times of every row before them."""
-    converted = [_convert_row(row, first + i, width, seen) for i, row in enumerate(rows)]
-    times, values = zip(*converted)
-    return np.array(times, dtype=np.int64), np.array(values, dtype=np.float64)
-
-
-def parse_ensemble_csv(text: str) -> tuple[ObservationSeries, ModelEnsemble]:
-    """Parse aligned observations and model outputs from CSV text.
-
-    Expected layout: a header row ``t,Y,<name>,...`` with at least one
-    model column, then one row per time point.  Times are what ``int()``
-    accepts, within int64, and unique; rows are sorted by time on ingest.
-    Values are what ``float()`` accepts and is finite.  Both allow
-    surrounding whitespace and non-ASCII decimal digits, and neither
-    allows ``_``.  Rows and columns in error messages are 1-based,
-    counting the header as row 1 and blank lines not at all; a cell is
-    quoted up to its first ``_QUOTE_CHARS`` characters.
-
-    Text that holds a quote, NUL or a carriage return outside CRLF line
-    ends is tokenized by ``csv.reader``, its rows joined back into comma
-    lines; other text is split into its non-blank lines (``_tokenize``).  The
-    data lines are then converted in chunks of ``_CHUNK_ROWS`` by one of
-    two converters.  numpy's C reader (``_load_plain``) converts a chunk
-    when none of its cells holds an underscore or, for ``csv.reader``
-    rows, a comma, quote, CR, LF or NUL (``_numpy_may_read``).  A chunk
-    that is screened out, or that numpy's reader refuses (a row of the
-    wrong width, a cell it cannot read, non-ASCII digits, a time outside
-    int64, a non-finite value), is converted row by row by the strict
-    rules (``_convert_rows``), which raise the same error, at the same row
-    and column, as checking every row in turn would: the times of the
-    rows before it are kept in one set, which the times of each chunk
-    join once, each checked for a repeat.  Repeated times are otherwise
-    found over all chunks at once.
-    """
-    lines, rows = _tokenize(text)
-    if not lines:
-        raise CsvFormatError("input is empty")
-    header = [cell.strip() for cell in (lines[0].split(",") if rows is None else rows[0])]
-    if len(header) < 3:
-        raise CsvFormatError(
-            "expected at least 3 columns (t, Y, and one model column); "
-            f"got {len(header)}"
-        )
-    if header[0] != "t" or header[1] != "Y":
-        raise CsvFormatError(
-            f"header must start with 't,Y'; got {','.join(header[:2])!r}"
-        )
-    names = header[2:]
-    if len(lines) < 2:
-        raise CsvFormatError("no data rows")
-
-    width = len(header)
-    time_chunks: list[np.ndarray] = []
-    value_chunks: list[np.ndarray] = []
-    seen: set[int] = set()  # the times of the first ``checked`` chunks
-    checked = 0
-    for start in range(1, len(lines), _CHUNK_ROWS):
-        chunk = lines[start : start + _CHUNK_ROWS]
-        chunk_rows = None if rows is None else rows[start : start + _CHUNK_ROWS]
-        converted = None
-        if _numpy_may_read(chunk, chunk_rows):
-            converted = _load_plain(chunk, width)
-        if converted is None:
-            chunk_rows = chunk_rows or [line.split(",") for line in chunk]
-            for i in range(checked, len(time_chunks)):  # each chunk's times join once
-                for row, t in enumerate(time_chunks[i].tolist(), 2 + i * _CHUNK_ROWS):
-                    _add_time(seen, t, row)
-            converted = _convert_rows(chunk_rows, start + 1, width, seen)
-            checked = len(time_chunks) + 1
-        time_chunks.append(converted[0])
-        value_chunks.append(converted[1])
-
-    times = np.concatenate(time_chunks)
-    order = _time_order(times)
-    values = np.concatenate(value_chunks)[order]
-    obs = ObservationSeries(times[order], values[:, 0])
-    ens = ModelEnsemble(tuple(names), values[:, 1:].T)
-    return obs, ens
-
-
-def format_ensemble_csv(obs: ObservationSeries, ens: ModelEnsemble) -> str:
-    """Inverse of parse_ensemble_csv; floats use shortest exact notation.
-    A model name with surrounding whitespace is refused, since the parser
-    strips header cells and would read it back as another name."""
-    if ens.n_points != obs.n_points:
-        raise ValidationError("observations and ensemble must be aligned")
-    for name in ens.model_names:
-        if name != name.strip():
-            raise ValidationError(f"model name {_quote(name)} has surrounding whitespace")
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["t", "Y", *ens.model_names])
-    columns = np.vstack([obs.values, ens.outputs]).T.tolist()
-    writer.writerows([t, *map(repr, row)] for t, row in zip(obs.times.tolist(), columns))
-    return buffer.getvalue()

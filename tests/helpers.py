@@ -41,7 +41,7 @@ from ensdiag import (
     model_scores,
     residuals,
 )
-from ensdiag.report import _parse_cell
+from ensdiag.ingest import _parse_cell
 
 #: Every phase but shrinking, for property tests: a failure is reported as
 #: first found, since shrinking recursive payloads and long lists has no

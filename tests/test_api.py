@@ -4,7 +4,7 @@ import importlib
 
 import ensdiag
 
-MODULES = ("core", "diagnostics", "errors", "evaluation", "report", "selection", "weights")
+MODULES = ("core", "diagnostics", "errors", "evaluation", "ingest", "report", "selection", "weights")
 
 PUBLIC_NAMES = [
     "ACTIVE_SUPPORT_TOL", "AlignmentError", "COSINE_OVERSHOOT_TOL", "CalibratedValidation",

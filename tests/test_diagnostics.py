@@ -1,10 +1,15 @@
 """Verdict, bounds, and regime tests."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from ensdiag import core
 from ensdiag import (
+    ModelEnsemble,
+    ObservationSeries,
     PerfectModelError,
     Regime,
     ResidualSet,
@@ -16,6 +21,7 @@ from ensdiag import (
     check_result2,
     check_result3,
     classify_regime,
+    emit_report,
     ensemble_score,
     parse_ensemble_csv,
     schwartz_bounds,
@@ -348,6 +354,27 @@ def test_pair_condition_is_one_comparison_on_near_ties():
         clear = np.abs(rs.entries - rs.s_min_sq) > 1e-12 * rs.s_min_sq
         assert np.array_equal((rs.cosines > thresholds)[clear], (rs.entries > rs.s_min_sq)[clear])
         assert np.array_equal((rs.cosines < thresholds)[clear], (rs.entries < rs.s_min_sq)[clear])
+
+
+def test_a_reports_witness_lists_render_the_same_again_and_as_copies():
+    """A witness list keeps its text at its first render: emitted again, and
+    pickled or copied (as plain tuples), the report gives the same bytes,
+    whether Result 3 shares Result 1's list or a tie makes them differ."""
+    rng = np.random.default_rng(331)
+    plain = ResidualSet(rng.normal(0.0, 1.0, (6, 9)))
+    tied = [rs for _, rs in _duplicated_best_sets(509, 20) if rs.n_models >= 3][:4]
+    for rs in [plain, *tied]:
+        m, t = rs.residuals.shape
+        obs = ObservationSeries(np.arange(t), np.zeros(t))  # residuals are the outputs
+        ens = ModelEnsemble(tuple(f"m{i}" for i in range(m)), rs.residuals)
+        report = build_report(obs, ens, uniform_weights(m))
+        shared = rs is plain
+        assert (report.result3.witnesses is report.result1.witnesses) == shared
+        text = emit_report(report)
+        assert emit_report(report) == text
+        for copied in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
+            assert type(copied.result1.witnesses) is tuple
+            assert emit_report(copied) == text
 
 
 # ---------------------------------------------------------------------------

@@ -267,6 +267,21 @@ def test_every_unused_import_is_a_trace_point(monkeypatch):
         assert unused <= traced, f"{path.name}: unused imports {sorted(unused - traced)}"
 
 
+def test_csv_ingest_stays_in_its_module():
+    """Only ``ingest.py`` imports ``csv``, and of the package it imports
+    ``core`` and ``errors`` alone."""
+    for path in sorted(Path(ensdiag.core.__file__).parent.glob("*.py")):
+        imported, package = set(), set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):  # relative: one of the package
+                (package if node.level else imported).add((node.module or "").partition(".")[0])
+        assert ("csv" in imported) == (path.name == "ingest.py"), path.name
+        if path.name == "ingest.py":
+            assert package == {"core", "errors"}
+
+
 def _private_definitions(tree: ast.Module) -> set[str]:
     """The ``_name``s (not dunders) that a module's top level defines: its
     functions, classes and assignments."""

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ensdiag.core
-import ensdiag.report
+import ensdiag.ingest
 from ensdiag import (
     CsvFormatError,
     CsvParseError,
@@ -199,7 +199,7 @@ def _fuzzed_csv(rng) -> str:
 
 @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 5])
 def test_chunked_parse_matches_row_by_row_rules(monkeypatch, chunk_rows):
-    monkeypatch.setattr(ensdiag.report, "_CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(ensdiag.ingest, "_CHUNK_ROWS", chunk_rows)
     rng = np.random.default_rng(7000 + chunk_rows)
     for _ in range(1500):
         _assert_same_as_reference(_fuzzed_csv(rng))
@@ -259,7 +259,7 @@ CHUNK_CASES = {
 
 @pytest.mark.parametrize("text", CHUNK_CASES.values(), ids=CHUNK_CASES.keys())
 def test_chunked_parse_cases_match_row_by_row_rules(monkeypatch, text):
-    monkeypatch.setattr(ensdiag.report, "_CHUNK_ROWS", 3)
+    monkeypatch.setattr(ensdiag.ingest, "_CHUNK_ROWS", 3)
     _assert_same_as_reference(text)
 
 
@@ -276,13 +276,13 @@ def _line_end_copies(text):
 
 @pytest.mark.parametrize("text", LF_CASES.values(), ids=LF_CASES.keys())
 def test_crlf_and_mixed_line_ends_parse_as_lf(monkeypatch, text):
-    monkeypatch.setattr(ensdiag.report, "_CHUNK_ROWS", 3)
+    monkeypatch.setattr(ensdiag.ingest, "_CHUNK_ROWS", 3)
     expected = _outcome(parse_ensemble_csv, text)  # the arrays, or the error's row and column
     for copy in _line_end_copies(text):
         assert _outcome(parse_ensemble_csv, copy) == expected
         _assert_same_as_reference(copy)
         if '"' not in copy and "\0" not in copy:  # split as LF text, not by csv.reader
-            assert ensdiag.report._tokenize(copy) == ensdiag.report._tokenize(text)
+            assert ensdiag.ingest._tokenize(copy) == ensdiag.ingest._tokenize(text)
 
 
 def test_crlf_text_parses_within_15_percent_of_lf():
@@ -309,19 +309,19 @@ def test_crlf_text_parses_within_15_percent_of_lf():
 
 def _counting_validator(monkeypatch):
     calls = []
-    validate = ensdiag.report._convert_row
+    validate = ensdiag.ingest._convert_row
 
     def counted(*args):
         calls.append(args[1])
         return validate(*args)
 
-    monkeypatch.setattr(ensdiag.report, "_convert_row", counted)
+    monkeypatch.setattr(ensdiag.ingest, "_convert_row", counted)
     return calls
 
 
 def test_clean_csv_takes_no_strict_rows(monkeypatch):
     calls = _counting_validator(monkeypatch)
-    n = 2 * ensdiag.report._CHUNK_ROWS + 5
+    n = 2 * ensdiag.ingest._CHUNK_ROWS + 5
     text = _csv("t,Y,gcm_a,b", *(f"{t},{t / 3!r},-1e-3,{t}" for t in range(n)))
     obs, _ = parse_ensemble_csv(text)
     assert obs.n_points == n
@@ -330,11 +330,11 @@ def test_clean_csv_takes_no_strict_rows(monkeypatch):
 
 def test_bad_last_row_takes_at_most_one_chunk_of_strict_rows(monkeypatch):
     calls = _counting_validator(monkeypatch)
-    n = 2 * ensdiag.report._CHUNK_ROWS + 5
+    n = 2 * ensdiag.ingest._CHUNK_ROWS + 5
     text = _csv("t,Y,a", *(f"{t},0,1" for t in range(n)), f"{n},0,1.0e")
     with pytest.raises(CsvParseError, match=f"row {n + 2}, column 3"):
         parse_ensemble_csv(text)
-    assert 0 < len(calls) <= ensdiag.report._CHUNK_ROWS
+    assert 0 < len(calls) <= ensdiag.ingest._CHUNK_ROWS
 
 
 # ---------------------------------------------------------------------------
@@ -368,15 +368,15 @@ def _numpy_cell_cases():
 
 @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 5])
 def test_numpy_tier_matches_row_by_row_rules(monkeypatch, chunk_rows):
-    monkeypatch.setattr(ensdiag.report, "_CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(ensdiag.ingest, "_CHUNK_ROWS", chunk_rows)
     for text in _numpy_cell_cases():
         _assert_same_as_reference(text)
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 5])
 def test_fallback_tier_matches_row_by_row_rules(monkeypatch, chunk_rows):
-    monkeypatch.setattr(ensdiag.report, "_load_plain", lambda lines, width: None)
-    monkeypatch.setattr(ensdiag.report, "_CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(ensdiag.ingest, "_load_plain", lambda lines, width: None)
+    monkeypatch.setattr(ensdiag.ingest, "_CHUNK_ROWS", chunk_rows)
     rng = np.random.default_rng(7100 + chunk_rows)
     for _ in range(1500):
         _assert_same_as_reference(_fuzzed_csv(rng))
@@ -398,27 +398,27 @@ def test_numpy_tier_values_are_bit_identical_to_float():
     cells = [cell for cell in (_decimal(rng) for _ in range(3000)) if math.isfinite(float(cell))]
     cells = cells[: len(cells) // 2 * 2]
     lines = [f"{t},{cells[2 * t]},{cells[2 * t + 1]}" for t in range(len(cells) // 2)]
-    times, values = ensdiag.report._load_plain(lines, 3)
+    times, values = ensdiag.ingest._load_plain(lines, 3)
     assert times.tolist() == list(range(len(lines)))
     assert values.ravel().tobytes() == np.array(list(map(float, cells))).tobytes()
 
 
 def _counting(monkeypatch, name):
     calls = []
-    function = getattr(ensdiag.report, name)
+    function = getattr(ensdiag.ingest, name)
 
     def counted(*args):
         calls.append(args)
         return function(*args)
 
-    monkeypatch.setattr(ensdiag.report, name, counted)
+    monkeypatch.setattr(ensdiag.ingest, name, counted)
     return calls
 
 
 def test_plain_csv_takes_numpy_tier_unless_it_refuses(monkeypatch):
     converted = _counting(monkeypatch, "_convert_rows")
     validated = _counting(monkeypatch, "_convert_row")
-    n = 2 * ensdiag.report._CHUNK_ROWS + 5
+    n = 2 * ensdiag.ingest._CHUNK_ROWS + 5
     rows = [f"{t},{t / 3!r},-1e-3,{t}" for t in range(n)]
     obs, _ = parse_ensemble_csv(_csv("t,Y,gcm_a,b", *rows))
     assert obs.n_points == n
@@ -426,11 +426,11 @@ def test_plain_csv_takes_numpy_tier_unless_it_refuses(monkeypatch):
     rows[n - 1] = f"{n - 1},\u0663.5,-1e-3,0"  # non-ASCII digits: numpy's reader refuses
     obs, _ = parse_ensemble_csv(_csv("t,Y,gcm_a,b", *rows))
     assert obs.values[-1] == 3.5
-    assert len(converted) == 1 and 0 < len(validated) <= ensdiag.report._CHUNK_ROWS
+    assert len(converted) == 1 and 0 < len(validated) <= ensdiag.ingest._CHUNK_ROWS
 
 
 def test_strict_chunks_check_each_time_for_repeats_once(monkeypatch):
-    monkeypatch.setattr(ensdiag.report, "_CHUNK_ROWS", 16)
+    monkeypatch.setattr(ensdiag.ingest, "_CHUNK_ROWS", 16)
     ordered = _counting(monkeypatch, "_time_order")
     added = _counting(monkeypatch, "_add_time")
     n = 40 * 16
@@ -443,7 +443,7 @@ def test_strict_chunks_check_each_time_for_repeats_once(monkeypatch):
 @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
 def test_reader_csv_takes_numpy_tier(monkeypatch, end):
     validated = _counting(monkeypatch, "_convert_row")
-    n = 2 * ensdiag.report._CHUNK_ROWS + 5
+    n = 2 * ensdiag.ingest._CHUNK_ROWS + 5
     rows = [f"{t},{t / 3!r},-1e-3,{t}" for t in range(n)]
     text = _csv('"t",Y,"gcm_a","b,c"', *rows, end=end)
     obs, ens = parse_ensemble_csv(text)
@@ -481,15 +481,15 @@ def _reader_cell_cases():
 
 @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 5])
 def test_reader_cells_match_row_by_row_rules(monkeypatch, chunk_rows):
-    monkeypatch.setattr(ensdiag.report, "_CHUNK_ROWS", chunk_rows)
-    load = ensdiag.report._load_plain
+    monkeypatch.setattr(ensdiag.ingest, "_CHUNK_ROWS", chunk_rows)
+    load = ensdiag.ingest._load_plain
 
     def screened(lines, width):
         """numpy's reader, which may tokenize these otherwise in another version."""
         assert not any(c in line for line in lines for c in '_"\r\n\0'), lines
         return load(lines, width)
 
-    monkeypatch.setattr(ensdiag.report, "_load_plain", screened)
+    monkeypatch.setattr(ensdiag.ingest, "_load_plain", screened)
     for text in _reader_cell_cases():
         _assert_same_as_reference(text)
 

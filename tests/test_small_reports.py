@@ -164,6 +164,15 @@ def test_the_per_m_tables_empty_when_full_and_keep_no_table_past_the_cap():
             del core._TABLES[key]
 
 
+def test_every_array_of_a_per_m_table_is_read_only():
+    builders = (core._pairs, core._pair_tuples, report._triangle, report._grid, report._pair_texts)
+    for m in (5, 600):  # 600: past the cap, built at each call
+        tables = [build(m) for build in builders]
+        parts = [part for table in tables for part in (table if type(table) is tuple else [table])]
+        arrays = [part for part in parts if isinstance(part, np.ndarray)]
+        assert len(arrays) == 6 and not any(a.flags.writeable for a in arrays)
+
+
 #: Run in a fresh interpreter, so that no other test's sizes are in the
 #: tables: one report of 1,000 members, then the sizes of a lib round of
 #: the benchmark (200, 3 to 8) twice.  The members' errors are multiples
