@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -189,7 +190,9 @@ class ResidualSet:
     the pairs whose correspondence is at most ``s_min_sq`` and those
     strictly below it (the witnesses of Results 1 and 3), from one
     comparison; and, through ``ensemble_score``, the score of the last
-    weights the set was scored with.
+    weights the set was scored with.  The pair tables too large to keep
+    for good (``_per_m``) are kept in ``_tables`` for the life of the set,
+    so that its checks build each once.
     """
 
     residuals: np.ndarray
@@ -202,6 +205,7 @@ class ResidualSet:
     perfect: tuple[int, ...] = field(init=False, repr=False)
     cosines: np.ndarray | None = field(init=False, repr=False)
     _last_score: tuple | None = field(init=False, repr=False, default=None)
+    _tables: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         arr = self.residuals
@@ -261,31 +265,35 @@ class ResidualSet:
         is at most ``s_min_sq``, and those strictly below it, as two
         ``_PairList``: one comparison of the correspondences gathered over
         ``_pairs``, with and without ties.  With no tie, both are one tuple."""
-        m = self.n_models
-        rows, cols = _pairs(m)
+        m, tables = self.n_models, self._tables
+        rows, cols = _pairs(m, tables)
         values = self.entries[rows, cols]
-        pairs = _PairList(m, np.flatnonzero(values <= self.s_min_sq))
+        pairs = _PairList(m, np.flatnonzero(values <= self.s_min_sq), tables)
         below = np.flatnonzero(values < self.s_min_sq)
-        return pairs, pairs if below.size == len(pairs) else _PairList(m, below)
+        return pairs, pairs if below.size == len(pairs) else _PairList(m, below, tables)
 
 
 #: The per-M tables, by (builder, m): ``_pairs``, ``_pair_tuples`` and
 #: ``report``'s.  They hold at most ``_TABLE_CELLS`` cells in all, m * m
 #: for a table of m members: a new one that would pass the cap empties
-#: them first, and one of more than 512 members is not kept.  The tables
-#: of 200 members and of 3 to 8 fit together.
+#: them first, and one of more than 512 members is kept only by the values
+#: that use it: a ``ResidualSet`` (its ``_tables``) or one report's matrices.
+#: The tables of 200 members and of 3 to 8 fit together.
 _TABLES: dict = {}
 _TABLE_CELLS = 2**18
 
 
 def _per_m(build):
     """``build(m)``, each array of it read-only, kept in ``_TABLES`` by the
-    rule stated there.  A table depends on m alone, so threads that miss at
-    once may build one twice, or pass the cap until the next miss, but
-    never read a wrong one."""
+    rule stated there, or, past the cap, in ``held``, if given: a dict of
+    the tables that some values share.  A table depends on m alone, so
+    threads that miss at once may build one twice, or pass the cap until
+    the next miss, but never read a wrong one."""
 
-    def table(m: int):
+    def table(m: int, held: dict | None = None):
         found = _TABLES.get((build, m))
+        if found is None and held is not None:
+            found = held.get(build.__name__)
         if found is None:
             found = build(m)
             for part in found if type(found) is tuple else (found,):
@@ -295,6 +303,8 @@ def _per_m(build):
                 if sum([key[1] ** 2 for key in list(_TABLES)]) + m * m > _TABLE_CELLS:
                     _TABLES.clear()
                 _TABLES[build, m] = found
+            elif held is not None:
+                held[build.__name__] = found
         return found
 
     return table
@@ -311,19 +321,18 @@ def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
 @_per_m
 def _pair_tuples(m: int) -> np.ndarray:
     """The pairs of ``_pairs(m)`` as int 2-tuples, in a read-only object array."""
-    rows, cols = _pairs(m)
-    return np.fromiter(zip(rows.tolist(), cols.tolist()), dtype=object, count=rows.size)
+    return np.fromiter(combinations(range(m), 2), dtype=object, count=m * (m - 1) // 2)
 
 
 class _PairList(tuple):
     """The pairs at positions ``index`` of ``_pairs(m)``, as the shared
-    tuples of ``_pair_tuples(m)``, keeping ``m`` and the read-only ``index``
-    for the report's check and render (which keeps its ``text``).  It
-    compares and hashes as the plain tuple does, and pickles and copies as
-    that tuple."""
+    tuples of ``_pair_tuples(m, tables)``, keeping ``m`` and the read-only
+    ``index`` for the report's check and render (which keeps its ``text``).
+    It compares and hashes as the plain tuple does, and pickles and copies
+    as that tuple."""
 
-    def __new__(cls, m: int, index: np.ndarray):
-        self = super().__new__(cls, _pair_tuples(m)[index].tolist())
+    def __new__(cls, m: int, index: np.ndarray, tables: dict | None = None):
+        self = super().__new__(cls, _pair_tuples(m, tables)[index].tolist())
         index.setflags(write=False)
         self.index, self.m = index, m
         return self

@@ -185,7 +185,7 @@ def schwartz_bounds(rs: ResidualSet, w: WeightVector) -> ScoreBounds:
             f"internal inconsistency: ensemble score {actual!r} exceeds its "
             f"upper bound {upper!r}"
         )
-    rows, cols = _pairs(rs.n_models)
+    rows, cols = _pairs(rs.n_models, rs._tables)
     floor = (1.0 - TIGHT_COSINE_TOL) * (rs.norms[rows] * rs.norms[cols])
     upper_tight = not np.logical_or.reduce(rs.entries[rows, cols] < floor)
     return ScoreBounds(lower=0.0, upper=upper, actual=actual, upper_tight=upper_tight)
@@ -209,7 +209,7 @@ def classify_regime(
     _check_tolerances(tol_equal, tol_cos)
     scores, best, s_min_sq = rs.scores.tolist(), rs.best, rs.s_min_sq
     cosines = cosine_matrix(rs)
-    rows, cols = _pairs(rs.n_models)
+    rows, cols = _pairs(rs.n_models, rs._tables)
 
     equally_good = max(scores) / s_min_sq - 1.0 <= tol_equal
     if equally_good and np.logical_and.reduce(cosines[rows, cols] <= tol_cos):

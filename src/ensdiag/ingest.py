@@ -10,6 +10,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+import warnings
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -82,26 +84,48 @@ def _numpy_may_read(lines: list[str], rows: list[list[str]] | None) -> bool:
     return not any(c in block for c in _NOT_FOR_NUMPY)
 
 
+def _reads_int_via_float() -> bool:
+    """Whether numpy's reader converts an int64 cell that is not an integer,
+    such as ``1.0``, through a float, with a DeprecationWarning, as numpy
+    1.23 does, rather than refuse it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        try:
+            np.loadtxt(["1.0"], dtype=np.int64)
+        except ValueError:
+            return False
+    return True
+
+
+_INT_VIA_FLOAT = _reads_int_via_float()
+
+
 def _load_plain(lines: list[str], width: int) -> tuple[np.ndarray, np.ndarray] | None:
     """Times and values of a chunk of comma lines without an underscore, by
-    numpy's C reader, or None if it refuses them or a check fails.
+    one pass of numpy's C reader, or None if it refuses them or a check fails.
 
-    The reader strips the same whitespace as ``str.strip`` and converts with
-    the ``PyOS_string_to_double`` that ``float`` calls, but refuses non-ASCII
-    digits, so a value it accepts is what ``_parse_cell`` gives.  Its shape
-    must be exactly one row of ``width`` cells per line, which catches ragged
-    rows, trailing commas and any line it skipped.  The times are read again
-    with ``int``; one padded with ``"\\x1c"`` to ``"\\x1f"``, which ``int``
-    refuses and ``_parse_cell`` strips, is left to the strict rules.
+    Each line is read as one row of an int64 time and ``width - 1`` float64
+    values.  The reader strips the same whitespace as ``str.strip``, reads
+    a time as a sign and ASCII digits within int64, and converts a value
+    with the ``PyOS_string_to_double`` that ``float`` calls, but refuses
+    non-ASCII digits, so a cell it accepts is what ``_parse_cell`` gives.
+    A numpy that reads a time such as ``1.0`` through a float, with a
+    DeprecationWarning (``_INT_VIA_FLOAT``), is made to refuse it.  The
+    rows must be exactly one per line, which catches any line it skipped;
+    the reader itself refuses ragged rows and trailing commas.
     """
+    row = np.dtype([("t", np.int64), ("v", np.float64, (width - 1,))])
     try:
-        table = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-        times = np.array([int(line.partition(",")[0]) for line in lines], dtype=np.int64)
-    except (ValueError, OverflowError):  # OverflowError: outside int64
+        with warnings.catch_warnings() if _INT_VIA_FLOAT else nullcontext():
+            if _INT_VIA_FLOAT:  # its warning as an error: the format refuses such a time
+                warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(lines, delimiter=",", comments=None, dtype=row, ndmin=1)
+    except (ValueError, DeprecationWarning):
         return None
-    if table.shape != (len(lines), width) or not np.isfinite(table).all():
+    values = table["v"]
+    if table.shape != (len(lines),) or not np.isfinite(values).all():
         return None
-    return times, table[:, 1:]
+    return table["t"], values
 
 
 def _add_time(seen: set[int], t: int, row: int) -> None:
@@ -169,15 +193,17 @@ def parse_ensemble_csv(text: str) -> tuple[ObservationSeries, ModelEnsemble]:
     data lines are then converted in chunks of ``_CHUNK_ROWS`` by one of
     two converters.  numpy's C reader (``_load_plain``) converts a chunk
     when none of its cells holds an underscore or, for ``csv.reader``
-    rows, a comma, quote, CR, LF or NUL (``_numpy_may_read``).  A chunk
-    that is screened out, or that numpy's reader refuses (a row of the
-    wrong width, a cell it cannot read, non-ASCII digits, a time outside
-    int64, a non-finite value), is converted row by row by the strict
-    rules (``_convert_rows``), which raise the same error, at the same row
-    and column, as checking every row in turn would: the times of the
-    rows before it are kept in one set, which the times of each chunk
-    join once, each checked for a repeat.  Repeated times are otherwise
-    found over all chunks at once.
+    rows, a comma, quote, CR, LF or NUL (``_numpy_may_read``); split text
+    is screened once, for an underscore past the header, and chunk by
+    chunk only if it holds one.  A chunk that is screened out, or that
+    numpy's reader refuses (a row of the wrong width, a cell it cannot
+    read, non-ASCII digits, a time outside int64, a non-finite value), is
+    converted row by row by the strict rules (``_convert_rows``), which
+    raise the same error, at the same row and column, as checking every
+    row in turn would: the times of the rows before it are kept in one
+    set, which the times of each chunk join once, and which is checked
+    for a repeat by its size.  Repeated times are otherwise found over all
+    chunks at once (``_time_order``).
     """
     lines, rows = _tokenize(text)
     if not lines:
@@ -197,6 +223,8 @@ def parse_ensemble_csv(text: str) -> tuple[ObservationSeries, ModelEnsemble]:
         raise CsvFormatError("no data rows")
 
     width = len(header)
+    # Split lines hold no LF, quote, CR or NUL, and only line ends come before the header.
+    plain = rows is None and text.find("_", text.index(lines[0]) + len(lines[0])) < 0
     time_chunks: list[np.ndarray] = []
     value_chunks: list[np.ndarray] = []
     seen: set[int] = set()  # the times of the first ``checked`` chunks
@@ -205,13 +233,14 @@ def parse_ensemble_csv(text: str) -> tuple[ObservationSeries, ModelEnsemble]:
         chunk = lines[start : start + _CHUNK_ROWS]
         chunk_rows = None if rows is None else rows[start : start + _CHUNK_ROWS]
         converted = None
-        if _numpy_may_read(chunk, chunk_rows):
+        if plain or _numpy_may_read(chunk, chunk_rows):
             converted = _load_plain(chunk, width)
         if converted is None:
             chunk_rows = chunk_rows or [line.split(",") for line in chunk]
-            for i in range(checked, len(time_chunks)):  # each chunk's times join once
-                for row, t in enumerate(time_chunks[i].tolist(), 2 + i * _CHUNK_ROWS):
-                    _add_time(seen, t, row)
+            if checked < len(time_chunks):  # the times of the chunks since the last strict one
+                seen.update(np.concatenate(time_chunks[checked:]).tolist())
+                if len(seen) < start - 1:  # a time repeats before this chunk
+                    _time_order(np.concatenate(time_chunks))  # raises at its first row
             converted = _convert_rows(chunk_rows, start + 1, width, seen)
             checked = len(time_chunks) + 1
         time_chunks.append(converted[0])

@@ -10,8 +10,9 @@ by a key template made once per class, and a float row in one pass (one
 exact numpy conversion to the same digits).  The typed values that
 ``build_report`` makes are neither re-checked nor walked: a symmetric
 matrix (``_SymmetricRows``) formats its upper triangle once and mirrors
-it, and a witness list (``core._PairList``) renders off its positions in
-a per-M table (``core._per_m``), once, and keeps its text.  The sweep's
+it, and a witness list (``core._PairList``) renders once, off its
+positions in a per-M table (``core._per_m``) or, for a size too large to
+keep one, off its own pairs, and keeps its text.  The sweep's
 records render column by column.  Everything else, a parsed, unpickled
 or copied report's matrices and witness lists among it, renders item by
 item.
@@ -40,6 +41,7 @@ from .core import (
     ModelEnsemble,
     ObservationSeries,
     WeightVector,
+    _TABLE_CELLS,
     _PairList,
     _pair_tuples,
     _per_m,
@@ -190,6 +192,7 @@ def build_report(
     _check_tolerances(tol_equal, tol_cos)
     rs = residuals(ens, obs)
     m = ens.n_models
+    shared: dict = {}  # the two matrices' triangle, if too large to keep (core._per_m)
     angles_defined = m >= 2 and not rs.perfect
     result1 = check_result1(rs, weights) if m >= 2 else None
     return DiagnosticsReport(
@@ -199,8 +202,8 @@ def build_report(
         model_names=ens.model_names,
         weights_used=_SimplexWeights(weights.weights.tolist()),
         per_model_scores=tuple(rs.scores.tolist()),
-        correspondence=_SymmetricRows(rs.entries),
-        cosines=None if rs.perfect else _SymmetricRows(cosine_matrix(rs)),
+        correspondence=_SymmetricRows(rs.entries, shared),
+        cosines=None if rs.perfect else _SymmetricRows(cosine_matrix(rs), shared),
         perfect_models=rs.perfect,
         ensemble_score=ensemble_score(rs, weights),
         best_index=rs.best,
@@ -389,12 +392,13 @@ def _render_key(key: str) -> str:
 class _SymmetricRows(tuple):
     """The float row tuples of a read-only square float64 array that equals
     its transpose bit for bit (a ``ResidualSet``'s), unchecked, keeping it as
-    ``array`` for the renderer.  It compares and hashes as the plain tuple
-    does, and pickles and copies as that tuple."""
+    ``array``, and the ``tables`` it shares with the report's other matrix
+    (see ``core._per_m``), for the renderer.  It compares and hashes as the
+    plain tuple does, and pickles and copies as that tuple."""
 
-    def __new__(cls, array: np.ndarray):
+    def __new__(cls, array: np.ndarray, tables: dict | None = None):
         self = super().__new__(cls, map(tuple, array.tolist()))
-        self.array = array
+        self.array, self.tables = array, tables
         return self
 
     def __reduce__(self):
@@ -423,7 +427,7 @@ def _render_symmetric(matrix: _SymmetricRows) -> str:
     """A symmetric float matrix off its array: each value of the upper
     triangle formatted once, by ``_render_floats``' rules, and mirrored."""
     m = len(matrix)
-    upper, mirror = _triangle(m)
+    upper, mirror = _triangle(m, matrix.tables)
     values = matrix.array.take(upper)
     if values.size < _VECTOR_CELLS:
         template, cells = _grid(m)
@@ -450,7 +454,11 @@ def _render_table(values) -> str | None:
         return _render_symmetric(values)
     if type(values) is _PairList:  # off its positions, once: a report holds it up to 3 times
         if not hasattr(values, "text"):
-            values.text = "[" + ",".join(_pair_texts(values.m)[values.index].tolist()) + "]"
+            if values.m**2 <= _TABLE_CELLS:  # the size's texts are kept: every report reads them
+                texts = _pair_texts(values.m)[values.index].tolist()
+            else:
+                texts = ["[%d,%d]" % pair for pair in values]
+            values.text = "[" + ",".join(texts) + "]"
         return values.text
     kind = type(values[0]) if values else None
     if not is_dataclass(kind) or set(map(type, values)) != {kind}:

@@ -2,6 +2,8 @@
 
 import argparse
 import dataclasses
+import gc
+import hashlib
 import importlib
 import io
 import json
@@ -16,13 +18,14 @@ import pytest
 
 import ensdiag
 from ensdiag import ModelEnsemble, ObservationSeries, format_ensemble_csv, report, selection
-from ensdiag.cli import build_parser, run_command
+from ensdiag.cli import build_parser, main, run_command
 from helpers import (
     cross_sum_reference,
     exhaustive_subset_reference,
     greedy_subset_reference,
     render_json_reference,
 )
+from test_digests import PINNED, _dyadic_csv
 
 FIXTURE = "t,Y,alpha,beta,gamma\n" + "".join(
     f"{t},{y},{a},{b},{c}\n"
@@ -824,3 +827,67 @@ def test_anticorr_and_sweep_stdout_is_that_of_the_per_item_loops(
     per_item = _run([*argv, "--input", str(path)])
     assert batched[0] == 0 and batched[2] == ""
     assert batched == per_item
+
+
+# ---------------------------------------------------------------------------
+# The pinned digests of test_digests.py through ``main()``: a fresh
+# ``python -m ensdiag.cli``
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def dyadic_csv(tmp_path):
+    path = tmp_path / "dyadic.csv"
+    path.write_text(_dyadic_csv(), encoding="utf-8")
+    return path
+
+
+def _main(*argv):
+    """Exit code, stdout and stderr bytes of ``python -m ensdiag.cli``, run
+    on the package that this interpreter imports."""
+    src = str(Path(ensdiag.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "ensdiag.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("argv", PINNED, ids=[" ".join(argv) for argv in PINNED])
+def test_main_prints_and_writes_the_pinned_digest(dyadic_csv, tmp_path, argv):
+    code, out, err = _main(*argv, "--input", str(dyadic_csv))
+    assert (code, err) == (0, b"")
+    assert hashlib.sha256(out).hexdigest() == PINNED[argv]
+    written = tmp_path / "report.json"
+    assert _main(*argv, "--input", str(dyadic_csv), "--output", str(written)) == (0, b"", b"")
+    assert written.read_bytes() == out
+
+
+def test_main_rejects_the_malformed_diagnose_in_one_line(tmp_path):
+    text = _dyadic_csv().splitlines()
+    cells = text[5].split(",")
+    cells[3] = "1.0e"
+    text[5] = ",".join(cells)
+    path = tmp_path / "malformed.csv"
+    path.write_text("\n".join(text) + "\n", encoding="utf-8")
+    written = tmp_path / "report.json"
+    for output in ([], ["--output", str(written)]):
+        assert _main("diagnose", "--input", str(path), *output) == (
+            1,
+            b"",
+            b"error: row 6, column 4: invalid number '1.0e'\n",
+        )
+    assert not written.exists()
+
+
+def test_main_freezes_the_collector_after_the_run_and_run_command_does_not(
+    dyadic_csv, monkeypatch, capsys
+):
+    frozen = []  # at each freeze, whether the report was written by then
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(capsys.readouterr().out != ""))
+    assert _run(["diagnose", "--input", str(dyadic_csv)])[0] == 0
+    assert frozen == []
+    monkeypatch.setattr(sys, "argv", ["ensdiag", "diagnose", "--input", str(dyadic_csv)])
+    with pytest.raises(SystemExit) as exit:
+        main()
+    assert exit.value.code == 0 and frozen == [True]

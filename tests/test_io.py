@@ -5,6 +5,7 @@ import gc
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -337,6 +338,23 @@ def test_bad_last_row_takes_at_most_one_chunk_of_strict_rows(monkeypatch):
     assert 0 < len(calls) <= ensdiag.ingest._CHUNK_ROWS
 
 
+def test_a_strict_chunk_takes_the_earlier_times_in_one_pass(monkeypatch):
+    ordered = _counting(monkeypatch, "_time_order")
+    added = _counting(monkeypatch, "_add_time")
+    size = ensdiag.ingest._CHUNK_ROWS
+    rows = [f"{t},0,1" for t in range(2 * size + 5)]
+    text = _csv("t,Y,a", *rows, f"{len(rows)},0,1.0e")  # two plain chunks, then a strict one
+    with pytest.raises(CsvParseError, match=f"row {len(rows) + 2}, column 3"):
+        parse_ensemble_csv(text)
+    assert ordered == [] and len(added) == 6  # the strict rows' own times only
+    added.clear()
+    rows[size + 3] = "7,0,1"  # row size + 5 repeats row 9's time
+    text = _csv("t,Y,a", *rows, f"{len(rows)},0,1.0e")
+    assert _outcome(parse_ensemble_csv, text) == _outcome(parse_csv_reference, text)
+    assert _outcome(parse_ensemble_csv, text)[1] == f"duplicate time 7 at row {size + 5}"
+    assert len(ordered) == 2 and added == []
+
+
 # ---------------------------------------------------------------------------
 # numpy's reader as the first tier of the converter
 # ---------------------------------------------------------------------------
@@ -401,6 +419,63 @@ def test_numpy_tier_values_are_bit_identical_to_float():
     times, values = ensdiag.ingest._load_plain(lines, 3)
     assert times.tolist() == list(range(len(lines)))
     assert values.ravel().tobytes() == np.array(list(map(float, cells))).tobytes()
+
+
+#: Time cells at and past the int64 range, and ones that ``int`` and
+#: numpy's integer reader might read otherwise; ``{}`` stands for the row's
+#: own time.
+TIME_CELLS = [
+    "-9223372036854775808", "9223372036854775807", "9223372036854775808",
+    "+1000", "001000", "1000.0", "1e3", "\x1c{}", "{}\x1c", "\x1f{}\x1f", "\x1c\x1f{} ",
+]
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, 5])
+def test_time_cells_read_in_one_pass_match_row_by_row_rules(monkeypatch, chunk_rows):
+    monkeypatch.setattr(ensdiag.ingest, "_CHUNK_ROWS", chunk_rows)
+    rows = [[str(t), repr(t / 4), "-1e-3"] for t in range(6)]
+    for r in range(len(rows)):
+        for cell in TIME_CELLS:
+            edited = [list(row) for row in rows]
+            edited[r][0] = cell.format(edited[r][0])
+            _assert_same_as_reference(_csv("t,Y,a", *map(",".join, edited)))
+
+
+def test_a_time_read_through_a_float_is_refused(monkeypatch):
+    """A numpy that reads an int cell such as ``1.0`` through a float, with
+    a DeprecationWarning, as numpy 1.23 does: its answer is not taken."""
+    loadtxt = np.loadtxt
+
+    def through_float(lines, dtype, **options):
+        lines = list(lines)
+        if any("." in line.partition(",")[0] for line in lines):
+            warnings.warn("loadtxt(): Parsing an integer via a float", DeprecationWarning)
+            lines = [line.replace(".0,", ",", 1) for line in lines]
+        return loadtxt(lines, dtype=dtype, **options)
+
+    monkeypatch.setattr(ensdiag.ingest, "_INT_VIA_FLOAT", True)
+    monkeypatch.setattr(np, "loadtxt", through_float)
+    for text in [_csv("t,Y,a", "0,0,1", "1.0,0,1"), _csv("t,Y,a", "0,0,1", "1,0,1")]:
+        _assert_same_as_reference(text)
+    with pytest.raises(CsvParseError, match="row 3, column 1: invalid integer '1.0'"):
+        parse_ensemble_csv(_csv("t,Y,a", "0,0,1", "1.0,0,1"))
+
+
+def test_plain_text_is_screened_for_underscores_past_the_header(monkeypatch):
+    monkeypatch.setattr(ensdiag.ingest, "_CHUNK_ROWS", 3)
+    loaded = _counting(monkeypatch, "_load_plain")
+    validated = _counting(monkeypatch, "_convert_row")
+    rows = [f"{t},{t / 4!r},-1e-3" for t in range(8)]
+    named = _csv("t,Y,gcm_a", *rows)  # only the header holds one: every chunk takes numpy's reader
+    assert _outcome(parse_ensemble_csv, named) == _outcome(parse_csv_reference, named)
+    assert len(loaded) == 3 and validated == []
+    loaded.clear()
+    rows[4] = "4,1_0,-1e-3"  # one value cell: its chunk, rows 5-7, goes row by row
+    body = _csv("t,Y,a", *rows)
+    assert _outcome(parse_ensemble_csv, body) == _outcome(parse_csv_reference, body)
+    assert len(loaded) == 1 and [row for _, row, *_ in validated] == [5, 6]
+    with pytest.raises(CsvParseError, match="row 6, column 2: invalid number '1_0'"):
+        parse_ensemble_csv(body)
 
 
 def _counting(monkeypatch, name):

@@ -5,6 +5,7 @@ per-M table of shared tuples, under the one cap on the per-M tables."""
 
 import dataclasses
 import enum
+import functools
 import json
 import os
 import subprocess
@@ -223,6 +224,45 @@ def test_the_per_m_tables_keep_no_large_table_and_the_lib_sizes():
     first, second = result["rounds"]
     assert len(first) == 4 + 5 * 6  # _grid is not made for 200 members
     assert second == first  # the same tables: the second round built none
+
+
+def _count_builds(monkeypatch, table, builds):
+    """Append the builder's name to ``builds`` at each build of ``table``, a
+    ``core._per_m`` table, by wrapping the builder that it closes over."""
+    (cell,) = table.__closure__
+    build = cell.cell_contents
+
+    @functools.wraps(build)
+    def counted(m):
+        builds.append(build.__name__)
+        return build(m)
+
+    monkeypatch.setattr(cell, "cell_contents", counted)
+
+
+@pytest.mark.parametrize("tie", [False, True], ids=["one witness list", "two"])
+def test_a_large_report_builds_each_per_m_table_once(monkeypatch, tie):
+    builds = []
+    tables = (core._pairs, core._pair_tuples, report._triangle, report._grid, report._pair_texts)
+    for table in tables:
+        _count_builds(monkeypatch, table, builds)
+    m, t = 1000, 60  # past the cap: no table of this size is kept between reports
+    rng = np.random.default_rng(2801)
+    truth = rng.normal(size=t)
+    errors = rng.uniform(1.0, 2.0, (m, 1)) * rng.normal(size=t) + 0.01 * rng.normal(size=(m, t))
+    if tie:  # small integers, and a copy of the best member: a pair ties S_min^2 exactly
+        truth = rng.integers(-5, 6, t).astype(np.float64)
+        errors = rng.integers(4, 8, (m, 1)) * rng.integers(-4, 5, t) + rng.integers(-1, 2, (m, t))
+        best = int(np.argmin((errors**2).sum(axis=1)))
+        errors[best - 1] = errors[best]
+    obs = ObservationSeries(np.arange(t), truth)
+    ens = ModelEnsemble(tuple(f"m{i}" for i in range(m)), truth + errors)
+    built = build_report(obs, ens, uniform_weights(m))
+    text = emit_report(built)
+    assert (built.result1.witnesses is not built.result3.witnesses) == tie
+    assert sorted(builds) == ["_pair_tuples", "_pairs", "_triangle"]
+    assert not any(size == m for _, size in core._TABLES)
+    assert json.loads(text)["result1"]["witnesses"] == [list(p) for p in built.result1.witnesses]
 
 
 def test_a_built_reports_weights_are_not_checked_again_but_replaced_ones_are():

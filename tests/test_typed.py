@@ -152,6 +152,7 @@ def _pair_list(m, pairs):
         (40, 7),
         (40, 30),
         (200, 19_894),
+        (600, 50),  # past the cap of the per-M tables: off its own pairs
     ],
 )
 def test_typed_pair_list_renders_as_its_pairs(m, n):
@@ -160,7 +161,7 @@ def test_typed_pair_list_renders_as_its_pairs(m, n):
     assert render_json({"w": pairs}) == _reference({"w": tuple(pairs)})
 
 
-@pytest.mark.parametrize("m", [2, 3, 5, 40, 200])
+@pytest.mark.parametrize("m", [2, 3, 5, 40, 200, 600])
 def test_a_pair_list_holds_the_pairs_at_its_positions(m):
     rows, cols = np.triu_indices(m, 1)
     every = tuple(zip(rows.tolist(), cols.tolist()))
