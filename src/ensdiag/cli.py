@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -279,7 +280,8 @@ def run_command(argv, stdout=None, stderr=None) -> int:
     """Run one CLI invocation.
 
     Returns 0 on success, 1 on data or validation errors (one line on
-    standard error), 2 on usage errors.
+    standard error), 2 on usage errors.  The process's stdout gets the
+    ``--output`` file's UTF-8 bytes, a ``stdout`` stream passed in its text.
     """
     out = sys.stdout if stdout is None else stdout
     err = sys.stderr if stderr is None else stderr
@@ -296,8 +298,13 @@ def run_command(argv, stdout=None, stderr=None) -> int:
         text = args.run(args, obs, ens)
         if args.output:
             Path(args.output).write_text(text, encoding="utf-8")
+        elif stdout is None and hasattr(out, "buffer"):  # the --output bytes, whatever the locale
+            out.flush()
+            out.buffer.write(text.encode("utf-8"))
+            out.flush()  # inside the error rule: a stdout that refuses the report is one line
         else:
             out.write(text)
+            out.flush()
     except (EnsdiagError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 1
@@ -306,6 +313,11 @@ def run_command(argv, stdout=None, stderr=None) -> int:
 
 def main() -> None:
     code = run_command(sys.argv[1:])
+    try:
+        if sys.stdout is not None:  # None if file descriptor 1 was closed at startup
+            sys.stdout.flush()
+    except BrokenPipeError:  # reported by run_command; the exit-time flush must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     gc.freeze()  # the collections at exit skip the heap that the imports built
     sys.exit(code)
 

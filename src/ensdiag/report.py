@@ -8,14 +8,14 @@ the renderer of the first class of its type's MRO in one table, a record
 by a key template made once per class, and a float row in one pass (one
 ``%.17g`` call, or from ``_VECTOR_CELLS`` values on ``_float_cells``, an
 exact numpy conversion to the same digits).  The typed values that
-``build_report`` makes are neither re-checked nor walked: a symmetric
+``build_report`` makes have renderers of their own and are not walked:
+the weights (``_SimplexWeights``) render as one float row, a symmetric
 matrix (``_SymmetricRows``) formats its upper triangle once and mirrors
 it, and a witness list (``core._PairList``) renders once, off its
-positions in a per-M table (``core._per_m``) or, for a size too large to
-keep one, off its own pairs, and keeps its text.  The sweep's
-records render column by column.  Everything else, a parsed, unpickled
-or copied report's matrices and witness lists among it, renders item by
-item.
+positions in a per-M table (``core._per_m``) or, past the cap, off its
+own pairs, and keeps its text.  The sweep's records render column by
+column.  Everything else, a parsed, unpickled or copied report's
+matrices and witness lists among it, renders item by item.
 
 The record dataclasses are the report's one schema.  A record renders as
 its fields in declaration order and an Enum as its value; ``parse_report``
@@ -31,7 +31,6 @@ from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring
-from operator import itemgetter
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
@@ -192,7 +191,6 @@ def build_report(
     _check_tolerances(tol_equal, tol_cos)
     rs = residuals(ens, obs)
     m = ens.n_models
-    shared: dict = {}  # the two matrices' triangle, if too large to keep (core._per_m)
     angles_defined = m >= 2 and not rs.perfect
     result1 = check_result1(rs, weights) if m >= 2 else None
     return DiagnosticsReport(
@@ -202,8 +200,8 @@ def build_report(
         model_names=ens.model_names,
         weights_used=_SimplexWeights(weights.weights.tolist()),
         per_model_scores=tuple(rs.scores.tolist()),
-        correspondence=_SymmetricRows(rs.entries, shared),
-        cosines=None if rs.perfect else _SymmetricRows(cosine_matrix(rs), shared),
+        correspondence=_SymmetricRows(rs.entries, rs._tables),
+        cosines=None if rs.perfect else _SymmetricRows(cosine_matrix(rs), rs._tables),
         perfect_models=rs.perfect,
         ensemble_score=ensemble_score(rs, weights),
         best_index=rs.best,
@@ -392,9 +390,9 @@ def _render_key(key: str) -> str:
 class _SymmetricRows(tuple):
     """The float row tuples of a read-only square float64 array that equals
     its transpose bit for bit (a ``ResidualSet``'s), unchecked, keeping it as
-    ``array``, and the ``tables`` it shares with the report's other matrix
-    (see ``core._per_m``), for the renderer.  It compares and hashes as the
-    plain tuple does, and pickles and copies as that tuple."""
+    ``array``, and that set's ``_tables`` as ``tables`` (see ``core._per_m``),
+    for the renderer.  It compares and hashes as the plain tuple does, and
+    pickles and copies as that tuple."""
 
     def __new__(cls, array: np.ndarray, tables: dict | None = None):
         self = super().__new__(cls, map(tuple, array.tolist()))
@@ -416,13 +414,6 @@ def _triangle(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(upper), (position + np.triu(position, 1).T).ravel()
 
 
-@_per_m
-def _grid(m: int) -> tuple[str, itemgetter]:
-    """The template of an m×m JSON matrix, and the getter of its cells' upper-triangle texts."""
-    mirror = _triangle(m)[1].tolist()
-    return "[[" + "],[".join([",".join(["%s"] * m)] * m) + "]]", itemgetter(*mirror)
-
-
 def _render_symmetric(matrix: _SymmetricRows) -> str:
     """A symmetric float matrix off its array: each value of the upper
     triangle formatted once, by ``_render_floats``' rules, and mirrored."""
@@ -430,8 +421,9 @@ def _render_symmetric(matrix: _SymmetricRows) -> str:
     upper, mirror = _triangle(m, matrix.tables)
     values = matrix.array.take(upper)
     if values.size < _VECTOR_CELLS:
-        template, cells = _grid(m)
-        return template % cells(_format_floats(values.tolist()).split(","))
+        texts = _format_floats(values.tolist()).split(",")
+        cells = [texts[k] for k in mirror.tolist()]
+        return "[[" + "],[".join([",".join(cells[i : i + m]) for i in range(0, m * m, m)]) + "]]"
     rows = np.empty((m, m * _CELL + 2), dtype=np.uint8)
     rows[:, 0] = ord("[")
     rows[:, 1:-1] = _cell_texts(values).take(mirror, axis=0).reshape(m, m * _CELL)
@@ -446,20 +438,20 @@ def _pair_texts(m: int) -> np.ndarray:
     return np.array(["[%d,%d]" % pair for pair in _pair_tuples(m).tolist()], dtype=object)
 
 
+def _render_pairs(pairs: _PairList) -> str:
+    """A witness list off its positions, once: a report holds it up to 3 times."""
+    if not hasattr(pairs, "text"):
+        if pairs.m**2 <= _TABLE_CELLS:  # the size's texts are kept: every report reads them
+            texts = _pair_texts(pairs.m)[pairs.index].tolist()
+        else:
+            texts = ["[%d,%d]" % pair for pair in pairs]
+        pairs.text = "[" + ",".join(texts) + "]"
+    return pairs.text
+
+
 def _render_table(values) -> str | None:
-    """A symmetric matrix or a pair list off the arrays it keeps; else
-    records of one dataclass type, column by column when each column is all
-    exact floats, ints or bools; else None, to render item by item."""
-    if type(values) is _SymmetricRows:
-        return _render_symmetric(values)
-    if type(values) is _PairList:  # off its positions, once: a report holds it up to 3 times
-        if not hasattr(values, "text"):
-            if values.m**2 <= _TABLE_CELLS:  # the size's texts are kept: every report reads them
-                texts = _pair_texts(values.m)[values.index].tolist()
-            else:
-                texts = ["[%d,%d]" % pair for pair in values]
-            values.text = "[" + ",".join(texts) + "]"
-        return values.text
+    """Records of one dataclass type, column by column when each column is
+    all exact floats, ints or bools; else None, to render item by item."""
     kind = type(values[0]) if values else None
     if not is_dataclass(kind) or set(map(type, values)) != {kind}:
         return None
@@ -484,7 +476,7 @@ def _render_table(values) -> str | None:
 
 def _render_sequence(value) -> str:
     """In one pass if all items are exact floats, else by ``_render_table``, else item by item."""
-    if type(value) is not _PairList and set(map(type, value)) == {float}:  # a score or weight row
+    if set(map(type, value)) == {float}:  # a score or weight row
         return _render_floats(value)
     return _render_table(value) or "[" + ",".join([_render(item) for item in value]) + "]"
 
@@ -522,6 +514,9 @@ _RENDERERS = {
     **dict.fromkeys((float, np.floating), lambda value: _format_floats((float(value),))),
     str: encode_basestring,
     **dict.fromkeys((list, tuple), _render_sequence),
+    _SimplexWeights: _render_floats,
+    _SymmetricRows: _render_symmetric,
+    _PairList: _render_pairs,
     dict: _render_dict,
     enum.Enum: lambda value: _render(value.value),
     object: _refuse,

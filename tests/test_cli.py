@@ -842,13 +842,20 @@ def dyadic_csv(tmp_path):
     return path
 
 
-def _main(*argv):
-    """Exit code, stdout and stderr bytes of ``python -m ensdiag.cli``, run
-    on the package that this interpreter imports."""
+def _module_env(**settings):
+    """The environment of a ``python -m ensdiag.cli`` subprocess that runs
+    on the package this interpreter imports, stdout's encoding and
+    buffering left to ``settings``."""
     src = str(Path(ensdiag.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "PYTHONUNBUFFERED")}
+    return {**env, "PYTHONPATH": src, **settings}
+
+
+def _main(*argv, **settings):
+    """Exit code, stdout and stderr bytes of ``python -m ensdiag.cli``."""
     proc = subprocess.run(
-        [sys.executable, "-m", "ensdiag.cli", *argv],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        [sys.executable, "-m", "ensdiag.cli", *argv], env=_module_env(**settings),
+        capture_output=True,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -891,3 +898,44 @@ def test_main_freezes_the_collector_after_the_run_and_run_command_does_not(
     with pytest.raises(SystemExit) as exit:
         main()
     assert exit.value.code == 0 and frozen == [True]
+
+
+@pytest.mark.parametrize(
+    "settings", [{}, {"PYTHONUNBUFFERED": "1"}], ids=["buffered", "unbuffered"]
+)
+def test_main_into_a_closed_pipe_is_a_one_line_error(dyadic_csv, settings):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ensdiag.cli", "diagnose", "--input", str(dyadic_csv)],
+            env=_module_env(**settings), stdout=write, stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"error: [Errno 32] Broken pipe\n")
+
+
+def test_main_without_a_stdout_writes_the_output_file(dyadic_csv, tmp_path):
+    written = tmp_path / "report.json"
+    argv = ["-m", "ensdiag.cli", "diagnose", "--input", str(dyadic_csv), "--output", str(written)]
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, *argv],
+        env=_module_env(), capture_output=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert hashlib.sha256(written.read_bytes()).hexdigest() == PINNED[("diagnose",)]
+
+
+@pytest.mark.parametrize("encoding", [None, "ascii", "latin-1"])
+def test_stdout_is_the_output_files_utf8_bytes_whatever_its_encoding(tmp_path, encoding):
+    observed = np.linspace(-1.0, 1.0, 12)
+    outputs = observed + np.linspace(0.5, 2.0, 36).reshape(3, 12)
+    ens = ModelEnsemble(("café", "naïve", "b"), outputs)
+    path = tmp_path / "names.csv"
+    path.write_text(format_ensemble_csv(ObservationSeries(np.arange(12), observed), ens), "utf-8")
+    written = tmp_path / "report.json"
+    settings = {} if encoding is None else {"PYTHONIOENCODING": encoding}
+    code, out, err = _main("diagnose", "--input", str(path), **settings)
+    assert _main("diagnose", "--input", str(path), "--output", str(written)) == (0, b"", b"")
+    assert (code, err) == (0, b"") and out == written.read_bytes() and "café".encode() in out

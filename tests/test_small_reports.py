@@ -72,9 +72,14 @@ def _population():
             yield build_report(obs, ens, uniform_weights(m), weights_mode="uniform")
             fit = optimal_weights(residuals(ens, obs))
             yield build_report(obs, ens, fit.weights, weights_mode="optimal", opt_tol=1e-12)
+    yield _tie_report()
+
+
+def _tie_report():
+    """Four models, one of whose correspondences ties ``S_min^2`` exactly."""
     obs = ObservationSeries([0, 1, 2], [0.0, 0.0, 0.0])
     rows = [[1.0, 1.0, 0.0], [1.0, 1.0, 2.0], [0.0, 3.0, 0.0], [0.0, 0.0, -2.0]]
-    yield build_report(obs, ModelEnsemble(tuple("bmcd"), rows), uniform_weights(4))
+    return build_report(obs, ModelEnsemble(tuple("bmcd"), rows), uniform_weights(4))
 
 
 def test_small_reports_render_as_the_reference_and_read_back():
@@ -100,10 +105,14 @@ class _Count(enum.IntEnum):
     TWO = 2
 
 
-#: One leaf for each class of ``report._RENDERERS`` and a record.
+_BUILT = _tie_report()
+
+#: One leaf for each class of ``report._RENDERERS`` (a built report's
+#: typed weights, matrix and witness list among them) and a record.
 LEAVES = [
     None, True, np.bool_(False), 7, np.int64(-3), 0.25, np.float64(1.0), "é\\\"",
     [0.5, 1.0], (1, (2, 3)), {"k": 1.5}, _Kind.A, _Count.TWO,
+    _BUILT.weights_used, _BUILT.correspondence, _BUILT.result1.witnesses,
     ScoreBounds(lower=0.0, upper=2.0, actual=np.float64(1.5), upper_tight=np.bool_(True)),
 ]
 
@@ -166,7 +175,7 @@ def test_the_per_m_tables_empty_when_full_and_keep_no_table_past_the_cap():
 
 
 def test_every_array_of_a_per_m_table_is_read_only():
-    builders = (core._pairs, core._pair_tuples, report._triangle, report._grid, report._pair_texts)
+    builders = (core._pairs, core._pair_tuples, report._triangle, report._pair_texts)
     for m in (5, 600):  # 600: past the cap, built at each call
         tables = [build(m) for build in builders]
         parts = [part for table in tables for part in (table if type(table) is tuple else [table])]
@@ -222,7 +231,7 @@ def test_the_per_m_tables_keep_no_large_table_and_the_lib_sizes():
     result = json.loads(proc.stdout)
     assert result["held"] <= 5_000_000  # bytes, after one report of 1,000 members
     first, second = result["rounds"]
-    assert len(first) == 4 + 5 * 6  # _grid is not made for 200 members
+    assert len(first) == 4 + 4 * 6  # four tables for each size
     assert second == first  # the same tables: the second round built none
 
 
@@ -243,7 +252,7 @@ def _count_builds(monkeypatch, table, builds):
 @pytest.mark.parametrize("tie", [False, True], ids=["one witness list", "two"])
 def test_a_large_report_builds_each_per_m_table_once(monkeypatch, tie):
     builds = []
-    tables = (core._pairs, core._pair_tuples, report._triangle, report._grid, report._pair_texts)
+    tables = (core._pairs, core._pair_tuples, report._triangle, report._pair_texts)
     for table in tables:
         _count_builds(monkeypatch, table, builds)
     m, t = 1000, 60  # past the cap: no table of this size is kept between reports
