@@ -7,6 +7,7 @@ subcommand's runner (bound as ``run``), and render its result as JSON.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import json
 import os
@@ -298,6 +299,8 @@ def run_command(argv, stdout=None, stderr=None) -> int:
         text = args.run(args, obs, ens)
         if args.output:
             Path(args.output).write_text(text, encoding="utf-8")
+        elif out is None:  # file descriptor 1 was closed at startup
+            raise OSError(errno.EBADF, "standard output is closed")
         elif stdout is None and hasattr(out, "buffer"):  # the --output bytes, whatever the locale
             out.flush()
             out.buffer.write(text.encode("utf-8"))

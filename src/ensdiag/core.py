@@ -192,7 +192,8 @@ class ResidualSet:
     comparison; and, through ``ensemble_score``, the score of the last
     weights the set was scored with.  The pair tables too large to keep
     for good (``_per_m``) are kept in ``_tables`` for the life of the set,
-    so that its checks, and a report built from it, build each once.
+    so that its checks, and the witness lists of a report built from it,
+    build each once.
     """
 
     residuals: np.ndarray
@@ -277,7 +278,8 @@ class ResidualSet:
 #: ``report``'s.  They hold at most ``_TABLE_CELLS`` cells in all, m * m
 #: for a table of m members: a new one that would pass the cap empties
 #: them first, and one of more than 512 members is kept only by the values
-#: that use it: a ``ResidualSet``'s ``_tables``, which its report shares.
+#: that use it: a ``ResidualSet``'s ``_tables``, or the dict that the two
+#: matrices of its report share.
 #: The tables of 200 members and of 3 to 8 fit together.
 _TABLES: dict = {}
 _TABLE_CELLS = 2**18

@@ -1,8 +1,9 @@
 """CSV ingestion: aligned observations and model outputs from CSV text, and back.
 
-CSV ingest has two converters: numpy's C reader for each chunk of rows,
-and the strict row rules for a chunk that it refuses, which raise the
-error that checking every row in turn would.
+Plain comma text is converted by numpy's C reader, chunk by chunk, and a
+chunk that it refuses by the strict row rules, which raise the error that
+checking every row in turn would; text that needs ``csv.reader`` is
+converted by the strict rules alone.
 """
 
 from __future__ import annotations
@@ -50,38 +51,20 @@ _CHUNK_ROWS = 2048
 #: as CRLF, and NUL (which ``csv.reader`` refuses before Python 3.11).
 _READER_ONLY = ('"', "\r", "\0")
 
-#: No cell of a chunk that numpy's reader converts holds any of these: an
-#: underscore, which ``int`` and ``float`` accept and the format does not,
-#: or what a comma line joined from ``csv.reader`` cells would not carry
-#: to it as it is.
-_NOT_FOR_NUMPY = ("_", "\n", *_READER_ONLY)
 
-
-def _tokenize(text: str) -> tuple[list[str], list[list[str]] | None]:
-    """The non-blank lines of CSV text, and None; or, for text holding a
-    quote, NUL or a carriage return outside CRLF line ends, its non-blank
-    ``csv.reader`` rows joined back into comma lines, and the rows.  Split
-    on commas, other text's lines (CRLF as LF) are ``csv.reader``'s rows."""
+def _tokenize(text: str) -> list[str] | list[list[str]]:
+    """The non-blank lines of plain comma text, CRLF line ends read as LF;
+    or, for text holding a quote, NUL or a carriage return outside CRLF
+    line ends, its non-blank ``csv.reader`` rows."""
     if "\r" in text and '"' not in text:  # as LF text if every carriage return ends a CRLF
         lf = text.replace("\r", "")
         text = lf if len(text) - len(lf) == text.count("\r\n") else text
     if not any(c in text for c in _READER_ONLY):
-        return [line for line in text.split("\n") if line], None
+        return [line for line in text.split("\n") if line]
     try:
-        rows = [row for row in csv.reader(io.StringIO(text)) if row]
+        return [row for row in csv.reader(io.StringIO(text)) if row]
     except csv.Error as exc:
         raise CsvFormatError(f"malformed CSV: {exc}") from None
-    return list(map(",".join, rows)), rows
-
-
-def _numpy_may_read(lines: list[str], rows: list[list[str]] | None) -> bool:
-    """Whether no cell of a chunk holds what ``_NOT_FOR_NUMPY`` names and,
-    for ``csv.reader`` rows, whether their comma ``lines`` keep every cell
-    apart: a quoted comma would split one cell in two."""
-    block = ",".join(lines)
-    if rows is not None and block.count(",") != sum(map(len, rows)) - 1:
-        return False
-    return not any(c in block for c in _NOT_FOR_NUMPY)
 
 
 def _reads_int_via_float() -> bool:
@@ -188,27 +171,25 @@ def parse_ensemble_csv(text: str) -> tuple[ObservationSeries, ModelEnsemble]:
     quoted up to its first ``_QUOTE_CHARS`` characters.
 
     Text that holds a quote, NUL or a carriage return outside CRLF line
-    ends is tokenized by ``csv.reader``, its rows joined back into comma
-    lines; other text is split into its non-blank lines (``_tokenize``).  The
-    data lines are then converted in chunks of ``_CHUNK_ROWS`` by one of
-    two converters.  numpy's C reader (``_load_plain``) converts a chunk
-    when none of its cells holds an underscore or, for ``csv.reader``
-    rows, a comma, quote, CR, LF or NUL (``_numpy_may_read``); split text
-    is screened once, for an underscore past the header, and chunk by
-    chunk only if it holds one.  A chunk that is screened out, or that
-    numpy's reader refuses (a row of the wrong width, a cell it cannot
-    read, non-ASCII digits, a time outside int64, a non-finite value), is
-    converted row by row by the strict rules (``_convert_rows``), which
-    raise the same error, at the same row and column, as checking every
-    row in turn would: the times of the rows before it are kept in one
-    set, which the times of each chunk join once, and which is checked
-    for a repeat by its size.  Repeated times are otherwise found over all
-    chunks at once (``_time_order``).
+    ends is tokenized by ``csv.reader``, and its data rows are converted by
+    the strict rules as one chunk (``_convert_rows``).  Other text is split
+    into its non-blank lines (``_tokenize``), converted in chunks of
+    ``_CHUNK_ROWS`` by numpy's C reader (``_load_plain``), and screened
+    once for an underscore past the header, chunk by chunk only if it holds
+    one.  A chunk that holds one, or that numpy's reader refuses (a row of
+    the wrong width, a cell it cannot read, non-ASCII digits, a time
+    outside int64, a non-finite value), is converted row by row by the
+    strict rules.  They raise the same error, at the same row and column,
+    as checking every row in turn would: the times of the rows before a
+    strict chunk are kept in one set, which the times of each chunk join
+    once, and which is checked for a repeat by its size.  Repeated times
+    are otherwise found over all chunks at once (``_time_order``).
     """
-    lines, rows = _tokenize(text)
-    if not lines:
+    records = _tokenize(text)
+    if not records:
         raise CsvFormatError("input is empty")
-    header = [cell.strip() for cell in (lines[0].split(",") if rows is None else rows[0])]
+    plain = isinstance(records[0], str)
+    header = [cell.strip() for cell in (records[0].split(",") if plain else records[0])]
     if len(header) < 3:
         raise CsvFormatError(
             "expected at least 3 columns (t, Y, and one model column); "
@@ -219,29 +200,29 @@ def parse_ensemble_csv(text: str) -> tuple[ObservationSeries, ModelEnsemble]:
             f"header must start with 't,Y'; got {','.join(header[:2])!r}"
         )
     names = header[2:]
-    if len(lines) < 2:
+    if len(records) < 2:
         raise CsvFormatError("no data rows")
 
     width = len(header)
-    # Split lines hold no LF, quote, CR or NUL, and only line ends come before the header.
-    plain = rows is None and text.find("_", text.index(lines[0]) + len(lines[0])) < 0
+    # Only line ends come before the header.
+    underscored = plain and text.find("_", text.index(records[0]) + len(records[0])) >= 0
+    size = _CHUNK_ROWS if plain else len(records)  # csv.reader rows: one strict chunk
     time_chunks: list[np.ndarray] = []
     value_chunks: list[np.ndarray] = []
     seen: set[int] = set()  # the times of the first ``checked`` chunks
     checked = 0
-    for start in range(1, len(lines), _CHUNK_ROWS):
-        chunk = lines[start : start + _CHUNK_ROWS]
-        chunk_rows = None if rows is None else rows[start : start + _CHUNK_ROWS]
+    for start in range(1, len(records), size):
+        chunk = records[start : start + size]
         converted = None
-        if plain or _numpy_may_read(chunk, chunk_rows):
+        if plain and not (underscored and "_" in "\n".join(chunk)):
             converted = _load_plain(chunk, width)
         if converted is None:
-            chunk_rows = chunk_rows or [line.split(",") for line in chunk]
             if checked < len(time_chunks):  # the times of the chunks since the last strict one
                 seen.update(np.concatenate(time_chunks[checked:]).tolist())
                 if len(seen) < start - 1:  # a time repeats before this chunk
                     _time_order(np.concatenate(time_chunks))  # raises at its first row
-            converted = _convert_rows(chunk_rows, start + 1, width, seen)
+            rows = [line.split(",") for line in chunk] if plain else chunk
+            converted = _convert_rows(rows, start + 1, width, seen)
             checked = len(time_chunks) + 1
         time_chunks.append(converted[0])
         value_chunks.append(converted[1])

@@ -193,6 +193,7 @@ def build_report(
     m = ens.n_models
     angles_defined = m >= 2 and not rs.perfect
     result1 = check_result1(rs, weights) if m >= 2 else None
+    shared: dict = {}  # the matrices' ``_triangle`` past the cap, not the set's pair tables
     return DiagnosticsReport(
         interval_start=int(obs.times[0]),
         interval_end=int(obs.times[-1]),
@@ -200,8 +201,8 @@ def build_report(
         model_names=ens.model_names,
         weights_used=_SimplexWeights(weights.weights.tolist()),
         per_model_scores=tuple(rs.scores.tolist()),
-        correspondence=_SymmetricRows(rs.entries, rs._tables),
-        cosines=None if rs.perfect else _SymmetricRows(cosine_matrix(rs), rs._tables),
+        correspondence=_SymmetricRows(rs.entries, shared),
+        cosines=None if rs.perfect else _SymmetricRows(cosine_matrix(rs), shared),
         perfect_models=rs.perfect,
         ensemble_score=ensemble_score(rs, weights),
         best_index=rs.best,
@@ -390,9 +391,9 @@ def _render_key(key: str) -> str:
 class _SymmetricRows(tuple):
     """The float row tuples of a read-only square float64 array that equals
     its transpose bit for bit (a ``ResidualSet``'s), unchecked, keeping it as
-    ``array``, and that set's ``_tables`` as ``tables`` (see ``core._per_m``),
-    for the renderer.  It compares and hashes as the plain tuple does, and
-    pickles and copies as that tuple."""
+    ``array``, and a dict of tables shared with the report's other matrix as
+    ``tables`` (see ``core._per_m``), for the renderer.  It compares and
+    hashes as the plain tuple does, and pickles and copies as that tuple."""
 
     def __new__(cls, array: np.ndarray, tables: dict | None = None):
         self = super().__new__(cls, map(tuple, array.tolist()))

@@ -927,6 +927,15 @@ def test_main_without_a_stdout_writes_the_output_file(dyadic_csv, tmp_path):
     assert hashlib.sha256(written.read_bytes()).hexdigest() == PINNED[("diagnose",)]
 
 
+def test_main_without_a_stdout_or_output_file_is_a_one_line_error(dyadic_csv):
+    argv = ["-m", "ensdiag.cli", "diagnose", "--input", str(dyadic_csv)]
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, *argv],
+        env=_module_env(), capture_output=True,
+    )
+    assert (proc.returncode, proc.stderr) == (1, b"error: [Errno 9] standard output is closed\n")
+
+
 @pytest.mark.parametrize("encoding", [None, "ascii", "latin-1"])
 def test_stdout_is_the_output_files_utf8_bytes_whatever_its_encoding(tmp_path, encoding):
     observed = np.linspace(-1.0, 1.0, 12)

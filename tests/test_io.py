@@ -516,20 +516,20 @@ def test_strict_chunks_check_each_time_for_repeats_once(monkeypatch):
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
-def test_reader_csv_takes_numpy_tier(monkeypatch, end):
-    validated = _counting(monkeypatch, "_convert_row")
+def test_reader_csv_takes_the_strict_rules(monkeypatch, end):
+    loaded = _counting(monkeypatch, "_load_plain")
     n = 2 * ensdiag.ingest._CHUNK_ROWS + 5
     rows = [f"{t},{t / 3!r},-1e-3,{t}" for t in range(n)]
     text = _csv('"t",Y,"gcm_a","b,c"', *rows, end=end)
     obs, ens = parse_ensemble_csv(text)
     assert obs.n_points == n and ens.model_names == ("gcm_a", "b,c")
-    assert validated == []
+    assert loaded == []  # numpy's reader never sees a line of csv.reader text
     assert _outcome(parse_ensemble_csv, text) == _outcome(parse_csv_reference, text)
 
 
-#: Quoted cells of ``csv.reader`` text that hold what comma lines joined
-#: from its rows could not carry to numpy's reader as it is; ``{}`` stands
-#: for the cell's own value.
+#: Quoted cells of ``csv.reader`` text that hold what a comma line could
+#: not carry to numpy's reader as it is; ``{}`` stands for the cell's own
+#: value.
 READER_CELLS = [
     '"{}"', '""', '"{}"""', '"""{}"', '"{},5"', '"1,{}"', '"{},"', '","',
     '"{}\n"', '"\n{}"', '"{}\r"', '"\r{}"', '"{}\r\n"',
@@ -540,7 +540,7 @@ READER_CELLS = [
 def _reader_cell_cases():
     """A clean 6-row CSV with one cell replaced by each of ``READER_CELLS``,
     in each column, or one row by a line one cell short whose quoted cell
-    holds a comma, so that the joined line has the right width."""
+    holds a comma, so that its comma count is the header's."""
     rows = [[str(t), repr(t / 4), "-1e-3", repr(2.0**-t)] for t in range(6)]
     for r in range(len(rows)):
         for c in range(3):
@@ -557,16 +557,10 @@ def _reader_cell_cases():
 @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 5])
 def test_reader_cells_match_row_by_row_rules(monkeypatch, chunk_rows):
     monkeypatch.setattr(ensdiag.ingest, "_CHUNK_ROWS", chunk_rows)
-    load = ensdiag.ingest._load_plain
-
-    def screened(lines, width):
-        """numpy's reader, which may tokenize these otherwise in another version."""
-        assert not any(c in line for line in lines for c in '_"\r\n\0'), lines
-        return load(lines, width)
-
-    monkeypatch.setattr(ensdiag.ingest, "_load_plain", screened)
+    loaded = _counting(monkeypatch, "_load_plain")  # another numpy may tokenize these otherwise
     for text in _reader_cell_cases():
         _assert_same_as_reference(text)
+    assert loaded == []
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,18 @@ def test_a_large_report_builds_each_per_m_table_once(monkeypatch, tie):
     assert json.loads(text)["result1"]["witnesses"] == [list(p) for p in built.result1.witnesses]
 
 
+def test_a_held_large_report_keeps_no_pair_table():
+    m, t = 600, 40  # past the cap: the report's matrices hold their own tables
+    rng = np.random.default_rng(3001)
+    truth = rng.normal(size=t)
+    errors = rng.uniform(1.0, 2.0, (m, 1)) * rng.normal(size=t) + 0.01 * rng.normal(size=(m, t))
+    obs = ObservationSeries(np.arange(t), truth)
+    built = build_report(obs, ModelEnsemble(tuple(f"m{i}" for i in range(m)), truth + errors), uniform_weights(m))
+    emit_report(built)
+    tables = built.correspondence.tables
+    assert built.cosines.tables is tables and list(tables) == ["_triangle"]
+
+
 def test_a_built_reports_weights_are_not_checked_again_but_replaced_ones_are():
     obs, ens = _inputs(np.random.default_rng(2527), 3)
     built = build_report(obs, ens, uniform_weights(3))
